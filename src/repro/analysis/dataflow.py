@@ -1,23 +1,20 @@
 """Per-module def-use dataflow: functions, call edges, attribute chains.
 
 Built on :mod:`repro.analysis.symbols`, this is the shared layer the
-C4xx / P5xx / K6xx rule packs consume.  For one :class:`~.context
-.FileContext` it indexes:
+P5xx / K6xx rule packs consume.  For one :class:`~.context.FileContext`
+it indexes:
 
 * every function/method with its qualified name (``Class.method``,
   ``outer.<locals>.inner``), async-ness and decorator list;
 * the intra-module call graph — ``self.m()`` resolves to ``Class.m``,
   bare names resolve through the symbol table to module functions, and
   anything imported resolves to its absolute dotted path;
-* per-method ``self.<attr>`` read/write sets, with a transitive variant
-  that follows ``self``-method calls (how K602 proves a ``SimSpec``
-  field flows into ``to_run_spec``);
-* statically-known constructor types of attributes and locals (``self._q
-  = queue.Queue()`` -> ``queue.Queue``), which is how the concurrency
-  pack tells a ``queue.Queue.get`` from a ``dict.get``.
+* per-method ``self.<attr>`` read sets, with a transitive variant that
+  follows ``self``-method calls (how K602 proves a ``SimSpec`` field
+  flows into ``to_run_spec``).
 
 The view is memoized on the file context (``ctx.dataflow_cache``) so the
-three rule packs share one build per file.
+rule packs share one build per file.
 """
 
 from __future__ import annotations
@@ -25,10 +22,10 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .context import FileContext
-from .symbols import Binding, Scope, SymbolTable, iter_own_nodes
+from .symbols import Scope, SymbolTable, iter_own_nodes
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -178,72 +175,8 @@ class ModuleDataflow:
         return CallSite(node=call, caller=info.qualname, local=local,
                         dotted=dotted)
 
-    def reachable(self, roots: Sequence[str], *,
-                  skip_async_targets: bool = False) -> Set[str]:
-        """Qualnames reachable from ``roots`` over intra-module call edges.
-
-        ``skip_async_targets`` stops traversal *into* async functions:
-        calling one from sync code only creates a coroutine object — the
-        body runs wherever the coroutine is eventually awaited, which is
-        exactly the distinction the thread-affinity rule needs.
-        """
-        seen: Set[str] = set()
-        work = deque(q for q in roots if q in self.functions)
-        while work:
-            current = work.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            for site in self.calls_from.get(current, ()):
-                target = site.local
-                if target is None or target in seen:
-                    continue
-                target_info = self.functions.get(target)
-                if target_info is None:
-                    continue
-                if skip_async_targets and target_info.is_async:
-                    continue
-                work.append(target)
-        return seen
-
-    def call_paths_to(self, target: str,
-                      roots: Sequence[str]) -> Optional[List[str]]:
-        """One shortest root -> ... -> target call chain, if any exists."""
-        parents: Dict[str, Optional[str]] = {}
-        work = deque()
-        for root in roots:
-            if root in self.functions and root not in parents:
-                parents[root] = None
-                work.append(root)
-        while work:
-            current = work.popleft()
-            if current == target:
-                path = [current]
-                while parents[path[0]] is not None:
-                    path.insert(0, parents[path[0]])  # type: ignore[arg-type]
-                return path
-            for site in self.calls_from.get(current, ()):
-                nxt = site.local
-                if nxt is not None and nxt in self.functions and (
-                    nxt not in parents
-                ):
-                    parents[nxt] = current
-                    work.append(nxt)
-        return None
-
     # ------------------------------------------------------------------
     # self.<attr> dataflow
-
-    def attr_writes(self, qualname: str) -> Dict[str, ast.AST]:
-        """``self.<attr>`` names assigned in the function, with one site."""
-        info = self.functions.get(qualname)
-        writes: Dict[str, ast.AST] = {}
-        if info is None:
-            return writes
-        for node in iter_own_nodes(info.node):
-            for attr, site in _self_attr_targets(node):
-                writes.setdefault(attr, site)
-        return writes
 
     def attr_reads(self, qualname: str) -> Set[str]:
         """``self.<attr>`` names loaded anywhere in the function."""
@@ -287,98 +220,11 @@ class ModuleDataflow:
                     work.append(site.local)
         return reads
 
-    def self_attr_types(self, class_name: str) -> Dict[str, str]:
-        """Attribute -> constructor dotted path, where statically known.
-
-        Scans every method of the class for ``self.X = Ctor(...)`` (plain
-        or annotated) where ``Ctor`` resolves through the import map;
-        e.g. ``{"_completions": "queue.Queue"}``.  Later assignments of
-        the same attribute overwrite earlier ones method-by-method in
-        definition order — good enough for "is this a sync primitive".
-        """
-        cls = self.classes.get(class_name)
-        types: Dict[str, str] = {}
-        if cls is None:
-            return types
-        for info in cls.methods.values():
-            for node in iter_own_nodes(info.node):
-                value = getattr(node, "value", None)
-                if not isinstance(node, (ast.Assign, ast.AnnAssign)) or (
-                    not isinstance(value, ast.Call)
-                ):
-                    continue
-                dotted = self.ctx.resolve_name(value.func)
-                if dotted is None:
-                    continue
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        types[target.attr] = dotted
-        return types
-
-    # ------------------------------------------------------------------
-    # local def-use
-
-    def local_value(self, info: FunctionInfo,
-                    name: str) -> Optional[ast.expr]:
-        """The RHS expression last bound to ``name`` in ``info``'s scope."""
-        binding = info.scope.lookup(name)
-        return binding.value if binding is not None else None
-
-    def name_used_after(self, info: FunctionInfo, name: str,
-                        lineno: int) -> bool:
-        """Is ``name`` loaded anywhere in the function after ``lineno``?"""
-        for node in iter_own_nodes(info.node):
-            if (
-                isinstance(node, ast.Name)
-                and node.id == name
-                and isinstance(node.ctx, ast.Load)
-                and node.lineno > lineno
-            ):
-                return True
-        return False
-
-
-def _self_attr_targets(
-    node: ast.AST,
-) -> Iterator[Tuple[str, ast.AST]]:
-    """``(attr, site)`` for each ``self.<attr>`` assignment target."""
-    targets: List[ast.AST] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        targets = [node.target]
-    for target in targets:
-        for element in _flatten_target(target):
-            if (
-                isinstance(element, ast.Attribute)
-                and isinstance(element.value, ast.Name)
-                and element.value.id == "self"
-            ):
-                yield element.attr, node
-
-
-def _flatten_target(target: ast.AST) -> Iterator[ast.AST]:
-    if isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _flatten_target(element)
-    elif isinstance(target, ast.Starred):
-        yield from _flatten_target(target.value)
-    else:
-        yield target
-
 
 def module_dataflow(ctx: FileContext) -> ModuleDataflow:
     """The (memoized) dataflow view of ``ctx``.
 
-    The three rule packs all call this; the build happens once per file
+    The rule packs all call this; the build happens once per file
     per analysis run and is cached on ``ctx.dataflow_cache``.
     """
     cached = ctx.dataflow_cache

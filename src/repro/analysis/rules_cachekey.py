@@ -33,6 +33,7 @@ from .dataflow import module_dataflow
 from .findings import Finding
 from .registry import Rule, register_rule
 from .rules_wire import (
+    SWEEP_MODULE,
     class_fields,
     field_has_flag,
     find_constant,
@@ -41,8 +42,6 @@ from .rules_wire import (
     resolve_class,
 )
 
-#: the module that owns RunSpec, cache_key and the exemption allowlist
-SWEEP_MODULE = "repro.experiments.sweep"
 API_MODULE = "repro.api"
 
 
@@ -170,7 +169,7 @@ class CacheKeyCompletenessRule(Rule):
             seen.add(dotted)
             resolved = resolve_class(project, dotted)
             if resolved is None:
-                continue  # P502 reports unresolvable wire types already
+                continue  # P502 reports unresolvable payload types already
             sub_ctx, sub_cls = resolved
             if not is_dataclass(sub_cls):
                 if _find_method(sub_cls, "__repr__") is None:

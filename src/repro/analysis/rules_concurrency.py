@@ -1,417 +1,32 @@
-"""C-rules: thread/asyncio discipline for the distributed coordinator.
+"""C-rules: thread discipline.
 
-The :class:`~repro.experiments.backends.distributed.DistributedBackend`
-runs an asyncio loop on the ``sweep-coordinator`` daemon thread while the
-runner keeps calling in from the main thread.  Every bug class this pack
-targets is invisible at runtime until a sweep hangs on another machine:
-
-* a blocking call on the loop thread stalls *every* worker connection at
-  once (C401);
-* a coroutine that is created but never awaited silently does nothing
-  (C402);
-* an attribute mutated from both threads without a hand-off point is a
-  data race that only loses under load (C403);
-* threads created outside the backends package escape the one place the
-  threading model is documented and reviewed (C404);
-* an unbounded ``Queue.get`` / ``join`` / ``result`` turns a dead worker
-  into a hung coordinator instead of a :class:`BackendError` (C405).
-
-All checks ride on the :mod:`~repro.analysis.dataflow` layer: call edges
-decide whether sync code is *reachable from* an ``async def``, and
-statically-known constructor types decide whether ``.get`` is a queue or
-a dict.
+The simulator is single-threaded by design: determinism rests on one
+cycle loop per process, and sweep parallelism comes from worker
+*processes* behind an :class:`~repro.experiments.backends.ExecutionBackend`.
+A ``threading.Thread`` created anywhere else can outlive a sweep and
+mutate shared state behind the determinism guarantees (C404).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator
 
 from .context import FileContext
-from .dataflow import FunctionInfo, ModuleDataflow, module_dataflow
 from .findings import Finding
 from .registry import Rule, register_rule
-from .symbols import iter_own_nodes
 
-#: dotted call targets that block the calling thread (no asyncio variant
-#: in use, or the sync spelling of one); resolved through the import map
-BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "subprocess.Popen",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "socket.create_connection",
-        "socket.socket",
-        "os.waitpid",
-        "os.wait",
-        "select.select",
-        "urllib.request.urlopen",
-        "requests.get",
-        "requests.post",
-    }
-)
-
-#: builtin callables that block (file I/O has no awaitable spelling here)
-BLOCKING_BUILTINS = frozenset({"open", "input"})
-
-#: constructors whose instances carry blocking methods the C401/C405
-#: rules track (``queue.Queue().get`` blocks; ``dict.get`` does not)
-SYNC_PRIMITIVE_CTORS = frozenset(
-    {
-        "queue.Queue",
-        "queue.SimpleQueue",
-        "queue.LifoQueue",
-        "queue.PriorityQueue",
-        "threading.Thread",
-        "threading.Event",
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-        "asyncio.run_coroutine_threadsafe",
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.ThreadPoolExecutor",
-    }
-)
-
-#: blocking method names on sync primitives (C401 inside async context;
-#: C405 when called without a timeout anywhere in the backends).
-#: ``put`` is deliberately absent: it blocks only on *bounded* queues,
-#: and an unbounded ``queue.Queue.put`` is exactly the sanctioned
-#: loop-to-caller hand-off the coordinator is built on.
-BLOCKING_METHODS = frozenset({"get", "join", "wait", "result", "acquire"})
-
-#: modules allowed to construct threads: the backends own the threading
-#: model (coordinator thread + worker subprocesses) and document it
+#: modules allowed to construct threads: the execution backends own the
+#: project's concurrency model and document it
 THREAD_ALLOWLIST = ("repro.experiments.backends",)
-
-#: backends modules that are synchronous *by design* (the worker process
-#: blocks on the wire between jobs; that is its job description)
-SYNC_BY_DESIGN = frozenset({"repro.experiments.backends.worker"})
-
-
-def _async_roots(flow: ModuleDataflow) -> List[str]:
-    return [q for q, info in flow.functions.items() if info.is_async]
-
-
-def _blocking_reason(flow: ModuleDataflow, info: FunctionInfo,
-                     call: ast.Call) -> Optional[str]:
-    """Why ``call`` blocks the thread, or ``None`` if it does not."""
-    dotted = flow.ctx.resolve_name(call.func)
-    if dotted in BLOCKING_CALLS:
-        return dotted
-    func = call.func
-    if isinstance(func, ast.Name):
-        if func.id in BLOCKING_BUILTINS and info.scope.lookup(func.id) is None:
-            return f"builtin {func.id}()"
-        return None
-    if not isinstance(func, ast.Attribute) or (
-        func.attr not in BLOCKING_METHODS
-    ):
-        return None
-    ctor = _receiver_ctor(flow, info, func.value)
-    if ctor in SYNC_PRIMITIVE_CTORS:
-        return f"{ctor}().{func.attr}"
-    return None
-
-
-def _receiver_ctor(flow: ModuleDataflow, info: FunctionInfo,
-                   receiver: ast.expr) -> Optional[str]:
-    """Constructor dotted path of a method call's receiver, if known.
-
-    Knows two shapes: ``self.X`` where some method assigns ``self.X =
-    Ctor(...)``, and a local name bound to ``Ctor(...)`` in this scope.
-    """
-    if (
-        isinstance(receiver, ast.Attribute)
-        and isinstance(receiver.value, ast.Name)
-        and receiver.value.id == "self"
-        and info.class_name is not None
-    ):
-        return flow.self_attr_types(info.class_name).get(receiver.attr)
-    if isinstance(receiver, ast.Name):
-        value = flow.local_value(info, receiver.id)
-        if isinstance(value, ast.Call):
-            return flow.ctx.resolve_name(value.func)
-    return None
-
-
-def _has_timeout(call: ast.Call) -> bool:
-    """Does the blocking call bound its wait (any positional arg or a
-    ``timeout=`` keyword that is not literally ``None``)?"""
-    for kw in call.keywords:
-        if kw.arg == "timeout":
-            return not (
-                isinstance(kw.value, ast.Constant) and kw.value.value is None
-            )
-        if kw.arg is None:
-            return True  # **kwargs splat: assume bounded
-    return bool(call.args)
-
-
-@register_rule
-class BlockingCallInAsyncRule(Rule):
-    """C401: blocking call on (or reachable from) the event-loop thread.
-
-    Within any module that defines ``async def`` functions, a call to a
-    known-blocking target (``time.sleep``, sync subprocess/socket/file
-    I/O, a sync-primitive ``.get``/``.join``/...) is flagged when it sits
-    inside an ``async def`` body *or* inside a sync function reachable
-    from one over the module's call graph.  The sanctioned escape hatch
-    is ``loop.run_in_executor(None, fn, ...)``: the callable is passed by
-    reference, so no call edge exists and ``fn``'s body is (correctly)
-    attributed to the executor thread.
-    """
-
-    RULE_ID = "C401"
-    RULE_DOC = (
-        "blocking call inside (or reachable from) an async def; it would "
-        "stall the whole event loop"
-    )
-    scope = "file"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if "async def" not in ctx.source:
-            return
-        flow = module_dataflow(ctx)
-        roots = _async_roots(flow)
-        if not roots:
-            return
-        on_loop = flow.reachable(roots)
-        for qualname in sorted(on_loop):
-            info = flow.functions[qualname]
-            for node in iter_own_nodes(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                reason = _blocking_reason(flow, info, node)
-                if reason is None:
-                    continue
-                if info.is_async:
-                    where = f"inside async def {qualname}"
-                else:
-                    path = flow.call_paths_to(qualname, roots)
-                    chain = " -> ".join(path) if path else qualname
-                    where = (
-                        f"in {qualname}, reachable from the event loop "
-                        f"via {chain}"
-                    )
-                yield self.finding(
-                    ctx, node,
-                    f"blocking call {reason} {where}; move it off the "
-                    "loop (run_in_executor) or use the asyncio variant",
-                    target=reason,
-                    function=qualname,
-                )
-
-
-@register_rule
-class UnawaitedCoroutineRule(Rule):
-    """C402: a locally-defined coroutine is called but never awaited.
-
-    Calling an ``async def`` just builds a coroutine object; unless it is
-    awaited, returned, or handed to a scheduler (``ensure_future``,
-    ``run_coroutine_threadsafe``, ``gather`` — any call argument counts
-    as consumed), its body never runs and Python only warns at garbage
-    collection time, on some other machine's stderr.
-    """
-
-    RULE_ID = "C402"
-    RULE_DOC = (
-        "coroutine created but never awaited/scheduled; its body will "
-        "never run"
-    )
-    scope = "file"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if "async def" not in ctx.source:
-            return
-        flow = module_dataflow(ctx)
-        for qualname, info in sorted(flow.functions.items()):
-            parents = _parent_map(info.node)
-            for site in flow.calls_from.get(qualname, ()):
-                target = site.local and flow.functions.get(site.local)
-                if not target or not target.is_async:
-                    continue
-                verdict = self._consumption(flow, info, site.node, parents)
-                if verdict is None:
-                    continue
-                yield self.finding(
-                    ctx, site.node,
-                    f"coroutine {site.local}() is {verdict} in {qualname}; "
-                    "await it, return it, or schedule it explicitly",
-                    coroutine=site.local,
-                    function=qualname,
-                )
-
-    @staticmethod
-    def _consumption(flow: ModuleDataflow, info: FunctionInfo,
-                     call: ast.Call,
-                     parents: Dict[ast.AST, ast.AST]) -> Optional[str]:
-        """A verdict string when the coroutine is *not* consumed."""
-        parent = parents.get(call)
-        if isinstance(parent, ast.Expr):
-            return "created and immediately discarded"
-        if isinstance(parent, ast.Assign):
-            targets = parent.targets
-            if len(targets) == 1 and isinstance(targets[0], ast.Name):
-                name = targets[0].id
-                if not flow.name_used_after(info, name, parent.lineno):
-                    return f"assigned to {name!r} which is never used again"
-        # awaited, returned, yielded, or passed into another call: consumed
-        return None
-
-
-def _parent_map(func_node: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in iter_own_nodes(func_node):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-@register_rule
-class CrossThreadMutationRule(Rule):
-    """C403: attribute mutated from both sides of the thread boundary.
-
-    In a class that both starts a ``threading.Thread`` and defines async
-    methods (the coordinator pattern), methods partition into *loop-side*
-    (async defs plus sync helpers reachable only from them) and
-    *caller-side* (the remaining sync methods and their sync-only call
-    closure).  An attribute assigned on **both** sides — outside
-    ``__init__``/``__post_init__``, and not under a ``with self.<lock>:``
-    block — is a cross-thread data race; route it through
-    ``call_soon_threadsafe``, a queue, or a lock.
-    """
-
-    RULE_ID = "C403"
-    RULE_DOC = (
-        "attribute written from both the event-loop thread and the "
-        "caller thread without a hand-off point"
-    )
-    scope = "file"
-
-    _SETUP_METHODS = ("__init__", "__post_init__")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if "async def" not in ctx.source or "Thread" not in ctx.source:
-            return
-        flow = module_dataflow(ctx)
-        for class_name in sorted(flow.classes):
-            cls = flow.classes[class_name]
-            methods = cls.methods
-            if not methods or not self._spawns_thread(flow, class_name):
-                continue
-            async_roots = [
-                m.qualname for m in methods.values() if m.is_async
-            ]
-            if not async_roots:
-                continue
-            loop_side = flow.reachable(async_roots)
-            caller_roots = [
-                m.qualname for m in methods.values()
-                if not m.is_async
-                and m.name not in self._SETUP_METHODS
-                and m.qualname not in loop_side
-            ]
-            caller_side = flow.reachable(
-                caller_roots, skip_async_targets=True
-            )
-            loop_writes = self._writes(flow, loop_side, class_name)
-            caller_writes = self._writes(flow, caller_side, class_name)
-            for attr in sorted(set(loop_writes) & set(caller_writes)):
-                node, loop_method = loop_writes[attr]
-                _, caller_method = caller_writes[attr]
-                yield self.finding(
-                    ctx, node,
-                    f"{class_name}.{attr} is written on the loop thread "
-                    f"(in {loop_method}) and the caller thread (in "
-                    f"{caller_method}) without call_soon_threadsafe or a "
-                    "lock",
-                    attribute=attr,
-                    loop_method=loop_method,
-                    caller_method=caller_method,
-                )
-
-    @staticmethod
-    def _spawns_thread(flow: ModuleDataflow, class_name: str) -> bool:
-        cls = flow.classes[class_name]
-        for info in cls.methods.values():
-            for node in iter_own_nodes(info.node):
-                if isinstance(node, ast.Call) and flow.ctx.resolve_name(
-                    node.func
-                ) == "threading.Thread":
-                    return True
-        return False
-
-    def _writes(
-        self, flow: ModuleDataflow, qualnames: Set[str], class_name: str
-    ) -> Dict[str, Tuple[ast.AST, str]]:
-        """attr -> (site, method) over the given side, lock-guarded and
-        setup-method writes excluded."""
-        out: Dict[str, Tuple[ast.AST, str]] = {}
-        prefix = f"{class_name}."
-        for qualname in sorted(qualnames):
-            if not qualname.startswith(prefix):
-                continue
-            info = flow.functions[qualname]
-            if info.name in self._SETUP_METHODS:
-                continue
-            locked = _lock_guarded_nodes(flow, info)
-            for attr, site in flow.attr_writes(qualname).items():
-                if site in locked:
-                    continue
-                out.setdefault(attr, (site, qualname))
-        return out
-
-
-def _lock_guarded_nodes(flow: ModuleDataflow,
-                        info: FunctionInfo) -> Set[ast.AST]:
-    """Statements inside ``with self.<lock-like>:`` blocks.
-
-    An attribute is lock-like when a method assigns it a
-    ``threading.Lock``-family constructor, or as a fallback when its name
-    contains ``lock`` or ``mutex``.
-    """
-    guarded: Set[ast.AST] = set()
-    lock_attrs: Set[str] = set()
-    if info.class_name is not None:
-        for attr, ctor in flow.self_attr_types(info.class_name).items():
-            if ctor in (
-                "threading.Lock", "threading.RLock", "threading.Condition",
-                "threading.Semaphore", "threading.BoundedSemaphore",
-            ):
-                lock_attrs.add(attr)
-    for node in iter_own_nodes(info.node):
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            continue
-        for item in node.items:
-            expr = item.context_expr
-            if (
-                isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"
-                and (
-                    expr.attr in lock_attrs
-                    or "lock" in expr.attr.lower()
-                    or "mutex" in expr.attr.lower()
-                )
-            ):
-                for stmt in node.body:
-                    guarded.add(stmt)
-                    guarded.update(ast.walk(stmt))
-    return guarded
 
 
 @register_rule
 class ThreadCreationRule(Rule):
     """C404: ``threading.Thread`` constructed outside the backends.
 
-    The execution backends own the project's threading model (one
-    coordinator thread, worker *processes* everywhere else) — a thread
+    The execution backends own the project's concurrency model (worker
+    *processes*, never threads, in every shipped backend) — a thread
     created anywhere else dodges that design review and, worse, can
     outlive a sweep and mutate shared state behind the determinism
     guarantees.  Deliberate exceptions take a justified
@@ -437,55 +52,4 @@ class ThreadCreationRule(Rule):
                     "threading.Thread created outside the backends "
                     "allowlist; spawn work through an ExecutionBackend, "
                     "or justify with # repro: allow[C404]",
-                )
-
-
-@register_rule
-class UnboundedBlockingWaitRule(Rule):
-    """C405: sync-primitive wait without a timeout in the backends.
-
-    A ``Queue.get()`` / ``Thread.join()`` / ``Future.result()`` with no
-    timeout turns any worker death the coordinator failed to notice into
-    an eternal hang; every wait in the backends must be bounded so the
-    liveness check (``_alive``) gets a turn.  Only receivers whose
-    constructor is statically known (``self._q = queue.Queue()``, ``fut =
-    run_coroutine_threadsafe(...)``) are judged — a plain ``d.get(k)`` is
-    somebody's dict.  The worker module is exempt: it *is* the blocking
-    side by design.
-    """
-
-    RULE_ID = "C405"
-    RULE_DOC = (
-        "unbounded blocking wait (no timeout) on a sync primitive in the "
-        "execution backends"
-    )
-    scope = "file"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.module is None or not ctx.module.startswith(THREAD_ALLOWLIST):
-            return
-        if ctx.module in SYNC_BY_DESIGN:
-            return
-        flow = module_dataflow(ctx)
-        for qualname, info in sorted(flow.functions.items()):
-            for node in iter_own_nodes(info.node):
-                if not isinstance(node, ast.Call) or not isinstance(
-                    node.func, ast.Attribute
-                ):
-                    continue
-                if node.func.attr not in BLOCKING_METHODS:
-                    continue
-                ctor = _receiver_ctor(flow, info, node.func.value)
-                if ctor not in SYNC_PRIMITIVE_CTORS:
-                    continue
-                if _has_timeout(node):
-                    continue
-                yield self.finding(
-                    ctx, node,
-                    f".{node.func.attr}() on a {ctor} without a timeout "
-                    f"in {qualname}; a dead worker would hang the sweep "
-                    "forever instead of raising BackendError",
-                    method=node.func.attr,
-                    ctor=ctor,
-                    function=qualname,
                 )

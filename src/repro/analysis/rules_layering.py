@@ -44,9 +44,9 @@ LAYER_RANKS: Dict[str, int] = {
     # architectural fault schedules (value objects the pipeline, multiprog
     # scheduler, and sweep engine all consume; imports only errors)
     "resilience": 1,
-    # the chaos-harness fault plan re-exports the resilience schedule as a
-    # convenience, so it sits one rank above it
-    "faults": 2,
+    # the chaos-harness fault plan: imports only errors, and interconnect
+    # consults its topology-scramble hook, so it is a rank-1 leaf
+    "faults": 1,
     # tracing sinks/exporters: a leaf the simulator stack emits into
     # (pipeline and core both import it, so it must sit below rank 5)
     "observability": 1,

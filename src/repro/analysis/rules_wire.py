@@ -1,15 +1,11 @@
-"""P-rules: pickle/wire safety for the RSWP protocol and process pool.
+"""P-rules: pickle safety at the process-pool boundary.
 
-Everything that crosses the RSWP wire (``backends/wire.py``) or the
-process-pool boundary travels by pickle.  An unpicklable payload — a
-lambda, a closure, an open file handle — raises only once a sweep is
-actually distributed, often on another machine (P501).  The payload
-*types* are a contract: frozen dataclasses whose fields are transitively
+Everything that crosses the process-pool boundary travels by pickle.  An
+unpicklable payload — a lambda, a closure, an open file handle — raises
+only once a sweep actually runs in parallel (P501).  The payload *types*
+are a contract: frozen dataclasses whose fields are transitively
 picklable, provable from the source (P502, declared by
-``WIRE_SPEC_TYPES`` in the wire module).  And the frame vocabulary
-itself drifts silently unless every tag declared in ``FRAME_TYPES`` is
-produced and dispatched on *both* ends of the wire (P503, modeled on the
-S304 schema-coverage proof).
+``WIRE_SPEC_TYPES`` in the sweep module).
 """
 
 from __future__ import annotations
@@ -21,6 +17,10 @@ from .context import FileContext, ProjectContext
 from .dataflow import module_dataflow
 from .findings import Finding
 from .registry import Rule, register_rule
+
+#: the module that owns RunSpec, cache_key and the in-source contracts
+#: (``CACHE_KEY_EXEMPT`` for K601/K602, ``WIRE_SPEC_TYPES`` for P502)
+SWEEP_MODULE = "repro.experiments.sweep"
 
 #: constructors whose results must never be pickled (handles bound to
 #: this process: files, sockets, event loops)
@@ -38,10 +38,8 @@ HANDLE_CTORS = frozenset(
     }
 )
 
-#: call targets whose arguments cross a pickle boundary; matched by
-#: dotted suffix so fixtures with a different package prefix still hit
-_WIRE_CALL_SUFFIXES = (".wire.send", ".wire.write_frame", ".wire.pack",
-                      "pickle.dumps", "pickle.dump")
+#: call targets whose arguments cross a pickle boundary
+_PICKLE_CALLS = ("pickle.dumps", "pickle.dump")
 
 #: builtin scalar annotations that always pickle
 _PICKLABLE_LEAVES = frozenset(
@@ -58,9 +56,9 @@ _CONTAINER_HEADS = frozenset(
 )
 
 
-def _is_wire_call(ctx: FileContext, call: ast.Call) -> bool:
+def _is_pickle_boundary(ctx: FileContext, call: ast.Call) -> bool:
     dotted = ctx.resolve_name(call.func)
-    if dotted is not None and dotted.endswith(_WIRE_CALL_SUFFIXES):
+    if dotted is not None and dotted.endswith(_PICKLE_CALLS):
         return True
     # ExecutionBackend.submit / Executor.submit style method calls inside
     # the experiments layer: their arguments reach a worker process
@@ -76,11 +74,11 @@ def _is_wire_call(ctx: FileContext, call: ast.Call) -> bool:
 
 @register_rule
 class UnpicklablePayloadRule(Rule):
-    """P501: unpicklable value in a wire/pool payload expression.
+    """P501: unpicklable value in a pickled or pool payload expression.
 
     At every call whose arguments cross a pickle boundary
-    (``wire.send``/``write_frame``/``pack``, ``pickle.dumps``, and
-    ``.submit(...)`` in the experiments layer), the payload expressions
+    (``pickle.dumps``/``dump`` and ``.submit(...)`` in the experiments
+    layer), the payload expressions
     are scanned for lambdas, references to *nested* functions or classes
     (closures — module-level callables pickle by reference and pass), and
     names bound to open handles (``open(...)``, sockets, event loops).
@@ -97,7 +95,7 @@ class UnpicklablePayloadRule(Rule):
         flow = module_dataflow(ctx)
         for qualname, info in sorted(flow.functions.items()):
             for site in flow.calls_from.get(qualname, ()):
-                if not _is_wire_call(ctx, site.node):
+                if not _is_pickle_boundary(ctx, site.node):
                     continue
                 for payload in list(site.node.args) + [
                     kw.value for kw in site.node.keywords
@@ -180,18 +178,6 @@ class UnpicklablePayloadRule(Rule):
 
 # ----------------------------------------------------------------------
 # shared class-resolution helpers (P502 + K601 both chase annotations)
-
-
-def find_wire_module(project: ProjectContext,
-                     constant: str) -> Optional[Tuple[FileContext, ast.AST]]:
-    """The backends wire module declaring ``constant``, plus its node."""
-    for ctx in project.repro_files():
-        if ctx.module is None or not ctx.module.endswith(".wire"):
-            continue
-        node = find_constant(ctx, constant)
-        if node is not None:
-            return ctx, node
-    return None
 
 
 def find_constant(ctx: FileContext, name: str) -> Optional[ast.AST]:
@@ -381,10 +367,11 @@ def field_has_flag(decl: ast.AnnAssign, flag: str) -> bool:
 
 @register_rule
 class WireTypeRule(Rule):
-    """P502: wire payload types must be transitively picklable, frozen.
+    """P502: pickled payload types must be transitively picklable, frozen.
 
-    The wire module declares its payload roots in ``WIRE_SPEC_TYPES``
-    (dotted class paths).  Each root — and every class reachable through
+    The sweep module declares the payload roots that cross the pool
+    boundary in ``WIRE_SPEC_TYPES`` (dotted class paths), next to
+    ``CACHE_KEY_EXEMPT``.  Each root — and every class reachable through
     its field annotations — must be a ``@dataclass(frozen=True)`` whose
     fields are picklable builtin scalars, containers of such, or other
     checked dataclasses.  ``object`` annotations fail: they hide exactly
@@ -393,22 +380,29 @@ class WireTypeRule(Rule):
 
     RULE_ID = "P502"
     RULE_DOC = (
-        "wire payload type is not provably a frozen dataclass with "
+        "pickled payload type is not provably a frozen dataclass with "
         "transitively picklable fields"
     )
     scope = "project"
 
     def check(self, project: ProjectContext) -> Iterator[Finding]:
-        found = find_wire_module(project, "WIRE_SPEC_TYPES")
-        if found is None:
+        sweep_ctx = project.find_module(SWEEP_MODULE)
+        if sweep_ctx is None:
             return
-        wire_ctx, decl = found
+        decl = find_constant(sweep_ctx, "WIRE_SPEC_TYPES")
+        if decl is None:
+            yield self.finding(
+                sweep_ctx, sweep_ctx.tree,
+                f"{SWEEP_MODULE} declares no WIRE_SPEC_TYPES; the pool "
+                "payload contract is unchecked",
+            )
+            return
         roots = _string_tuple(decl)
         if not roots:
             yield self.finding(
-                wire_ctx, decl,
+                sweep_ctx, decl,
                 "WIRE_SPEC_TYPES is declared but names no types; the "
-                "wire payload contract is unchecked",
+                "pool payload contract is unchecked",
             )
             return
         checked: Set[str] = set()
@@ -421,7 +415,7 @@ class WireTypeRule(Rule):
             resolved = resolve_class(project, dotted)
             if resolved is None:
                 yield self.finding(
-                    wire_ctx, decl,
+                    sweep_ctx, decl,
                     f"WIRE_SPEC_TYPES names {dotted!r} but no such class "
                     "is in the analysed tree",
                     type=dotted,
@@ -431,8 +425,8 @@ class WireTypeRule(Rule):
             if not is_frozen_dataclass(cls):
                 yield self.finding(
                     cls_ctx, cls,
-                    f"{dotted} crosses the wire but is not a "
-                    "@dataclass(frozen=True); wire types must be "
+                    f"{dotted} crosses the pool boundary but is not a "
+                    "@dataclass(frozen=True); payload types must be "
                     "immutable value objects",
                     type=dotted,
                 )
@@ -444,7 +438,7 @@ class WireTypeRule(Rule):
                 for problem in problems:
                     yield self.finding(
                         cls_ctx, field_decl,
-                        f"{dotted}.{name}: {problem}; every wire field "
+                        f"{dotted}.{name}: {problem}; every payload field "
                         "must be provably picklable from its annotation",
                         type=dotted,
                         field=name,
@@ -460,110 +454,3 @@ def _string_tuple(decl: ast.AST) -> List[str]:
         if isinstance(e, ast.Constant) and isinstance(e.value, str)
     ]
 
-
-@register_rule
-class FrameDispatchRule(Rule):
-    """P503: every wire frame tag needs both a producer and a dispatcher.
-
-    ``FRAME_TYPES`` in the wire module is the machine-readable frame
-    vocabulary (tag -> direction).  Each declared tag must appear as a
-    string literal in *both* the coordinator module (``.distributed``)
-    and the worker module (``.worker``) of the same package — a tag one
-    side sends and the other never matches is schema drift that
-    manifests as a hung or mis-attributed sweep.  Conversely, any
-    ``{"type": "..."}`` frame built in those modules with an undeclared
-    tag fails too.
-    """
-
-    RULE_ID = "P503"
-    RULE_DOC = (
-        "wire frame tag not handled by both coordinator and worker "
-        "dispatch (or sent without being declared)"
-    )
-    scope = "project"
-
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
-        found = find_wire_module(project, "FRAME_TYPES")
-        if found is None:
-            return
-        wire_ctx, decl = found
-        tags = _dict_string_keys(decl)
-        if not tags:
-            yield self.finding(
-                wire_ctx, decl,
-                "FRAME_TYPES declares no frame tags; the protocol "
-                "vocabulary is unchecked",
-            )
-            return
-        package = wire_ctx.module.rsplit(".", 1)[0] if wire_ctx.module else ""
-        sides = {
-            "coordinator": project.find_module(f"{package}.distributed"),
-            "worker": project.find_module(f"{package}.worker"),
-        }
-        for side, ctx in sorted(sides.items()):
-            if ctx is None:
-                yield self.finding(
-                    wire_ctx, decl,
-                    f"FRAME_TYPES is declared but the {side} module "
-                    f"({package}.{'distributed' if side == 'coordinator' else 'worker'}) "
-                    "is not in the analysed tree to check against",
-                    side=side,
-                )
-                continue
-            literals = _string_literals(ctx)
-            for tag, key_node in sorted(tags.items()):
-                if tag not in literals:
-                    yield self.finding(
-                        wire_ctx, key_node,
-                        f"frame tag {tag!r} is declared in FRAME_TYPES "
-                        f"but never appears in the {side} module "
-                        f"({ctx.module}); one side of the protocol "
-                        "cannot handle it",
-                        tag=tag,
-                        side=side,
-                    )
-            for tag, site in sorted(_produced_tags(ctx).items()):
-                if tag not in tags:
-                    yield self.finding(
-                        ctx, site,
-                        f"frame tag {tag!r} is sent by the {side} but "
-                        "not declared in FRAME_TYPES; declare it so both "
-                        "dispatch arms are provable",
-                        tag=tag,
-                        side=side,
-                    )
-
-
-def _dict_string_keys(decl: ast.AST) -> Dict[str, ast.AST]:
-    value = getattr(decl, "value", None)
-    if not isinstance(value, ast.Dict):
-        return {}
-    return {
-        key.value: key
-        for key in value.keys
-        if isinstance(key, ast.Constant) and isinstance(key.value, str)
-    }
-
-
-def _string_literals(ctx: FileContext) -> Set[str]:
-    return {
-        node.value
-        for node in ast.walk(ctx.tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    }
-
-
-def _produced_tags(ctx: FileContext) -> Dict[str, ast.AST]:
-    """Tags of ``{"type": <literal>, ...}`` dicts built in the module."""
-    produced: Dict[str, ast.AST] = {}
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Dict):
-            continue
-        for key, value in zip(node.keys, node.values):
-            if (
-                isinstance(key, ast.Constant) and key.value == "type"
-                and isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-            ):
-                produced.setdefault(value.value, node)
-    return produced

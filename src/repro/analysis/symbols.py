@@ -307,7 +307,7 @@ class SymbolTable:
         elif isinstance(target, ast.Starred):
             self._bind_target(target.value, kind, scope)
         # attribute / subscript targets bind no *name*; the dataflow layer
-        # tracks ``self.x`` writes separately
+        # tracks ``self.x`` reads separately
 
 
 def iter_own_nodes(func: ast.AST) -> Iterator[ast.AST]:
@@ -315,8 +315,8 @@ def iter_own_nodes(func: ast.AST) -> Iterator[ast.AST]:
 
     Descends statements and expressions but stops at nested scope
     introducers (``def`` / ``class`` / ``lambda``): their bodies only run
-    when *they* are invoked, which is exactly the distinction the
-    concurrency rules need.  The nested node itself is still yielded so
+    when *they* are invoked, so a call site is attributed to the function
+    that actually executes it.  The nested node itself is still yielded so
     callers can see that it exists.
     """
     body = getattr(func, "body", [])

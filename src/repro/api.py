@@ -414,7 +414,6 @@ def sweep(
     specs: Iterable[object],
     *,
     backend: Union[str, object] = "auto",
-    lanes: Optional[str] = None,
     jobs: Optional[int] = None,
     batch_size: Optional[int] = None,
     cache: bool = True,
@@ -437,13 +436,9 @@ def sweep(
     :meth:`SweepResult.require_ok` to raise instead.
 
     ``backend`` picks the execution mechanism — ``"auto"`` (serial for
-    one job, a local process pool otherwise, distributed when ``lanes``
-    is given, batch when ``batch_size`` is given), ``"serial"``,
-    ``"process-pool"``, ``"distributed"`` (a TCP coordinator feeding
-    worker processes; ``lanes`` lists them: ``"local,4"`` spawns four
-    local workers, ``"host:port,8"`` opens eight connections to a
-    standing worker agent on another machine, ``;`` separates lanes), or
-    ``"batch"`` (``batch_size`` independent simulations advance in
+    one job, a local process pool otherwise, batch when ``batch_size`` is
+    given), ``"serial"``, ``"process-pool"`` (``jobs`` worker processes),
+    or ``"batch"`` (``batch_size`` independent simulations advance in
     lockstep per process through the fused cycle loop — see
     ``docs/BATCHING.md``; composes with ``jobs`` for pool fan-out).
     Every backend returns bit-identical records; see ``docs/SWEEPS.md``.
@@ -477,7 +472,6 @@ def sweep(
     runner = SweepRunner(
         SweepConfig(
             backend=backend,
-            lanes=lanes,
             jobs=jobs,
             batch_size=batch_size,
             cache_dir=cache_dir,

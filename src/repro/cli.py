@@ -75,9 +75,7 @@ def _parse_benchmarks(spec: Optional[str]) -> Sequence[str]:
 _EPILOG = """\
 sweep execution flags (every exhibit command):
   --jobs N --no-cache --timeout SECONDS      parallelism and caching
-  --backend serial|process-pool|distributed|batch  how specs execute (auto)
-  --workers LANES / --lanes LANES            distributed lanes, e.g. "local,4"
-                                             or "hostA:9000,8;hostB:9000,8"
+  --backend serial|process-pool|batch        how specs execute (auto)
   --batch-size N                             lockstep simulations per process
                                              (implies --backend batch)
   --metrics-json PATH                        sweep metrics snapshot as JSON
@@ -142,11 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the sweep "
                              "(default: REPRO_JOBS or cpu_count-1)")
         ex.add_argument("--backend", default="auto",
-                        choices=["auto", "serial", "process-pool",
-                                 "distributed", "batch"],
+                        choices=["auto", "serial", "process-pool", "batch"],
                         help="execution backend (default: auto — "
-                             "REPRO_SWEEP_BACKEND, else distributed when "
-                             "lanes are given, else batch when a batch "
+                             "REPRO_SWEEP_BACKEND, else batch when a batch "
                              "size is given, else serial/process-pool "
                              "by job count)")
         ex.add_argument("--batch-size", type=int, default=None,
@@ -154,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lockstep simulations per process for the "
                              "batch backend (implies --backend batch; "
                              "composes with --jobs)")
-        ex.add_argument("--workers", "--lanes", dest="lanes", default=None,
-                        metavar="LANES",
-                        help="worker lanes for the distributed backend: "
-                             "a count (\"4\"), \"local,N\", or "
-                             "\"host:port,slots\" entries joined by ';' "
-                             "(default: REPRO_LANES)")
         ex.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache "
                              "(REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -264,7 +254,6 @@ def _cmd_exhibit(name: str, args: argparse.Namespace) -> int:
         SweepConfig(
             backend=args.backend,
             jobs=args.jobs,
-            lanes=args.lanes,
             batch_size=args.batch_size,
             use_cache=not args.no_cache,
             timeout=args.timeout,

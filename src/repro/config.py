@@ -65,20 +65,6 @@ def env_float(name: str, default: Optional[float] = None) -> Optional[float]:
         return default
 
 
-def spawn_env(**overrides) -> dict:
-    """A copy of this process's environment for spawning worker processes.
-
-    Worker subprocesses (the process pool implicitly, the distributed
-    backend explicitly) must inherit the environment so switches like
-    ``REPRO_FAULT_PLAN`` and ``REPRO_CHECK_INVARIANTS`` reach them.  The
-    copy is made here because this module owns all environment access
-    (rule D105); ``overrides`` are applied on top.
-    """
-    env = dict(os.environ)
-    env.update({k: str(v) for k, v in overrides.items()})
-    return env
-
-
 #: Canonical registry of every environment switch the package reads, in
 #: one place (satellite of issue 8; see docs/SWEEPS.md "Knobs" for the
 #: user-facing table).  Key -> (reader, purpose).
@@ -87,12 +73,7 @@ ENV_SWITCHES = {
     "REPRO_JOBS": ("env_int", "default worker count for default_jobs()"),
     "REPRO_SWEEP_BACKEND": (
         "env_text",
-        "default execution backend (serial | process-pool | distributed)",
-    ),
-    "REPRO_LANES": (
-        "env_text",
-        "default distributed worker lanes, e.g. 'local,4' or "
-        "'10.0.0.2:9123,8;local,2'",
+        "default execution backend (serial | process-pool | batch)",
     ),
     "REPRO_TRACE_SCALE": ("env_float", "multiplies benchmark trace lengths"),
     "REPRO_BENCH_CACHE": ("env_flag", "let pytest benchmarks/ use the cache"),

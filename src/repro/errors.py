@@ -37,8 +37,8 @@ class SweepError(ReproError, RuntimeError):
 class BackendError(SweepError):
     """An execution backend could not start or lost its workers entirely.
 
-    Distinct from a per-run failure: the *machinery* is unusable (no
-    worker ever connected, an invalid lane list, a coordinator that died)
+    Distinct from a per-run failure: the *machinery* is unusable (an
+    unknown backend name, a backend that lost track of its submissions)
     rather than any particular spec being bad.
     """
 

@@ -1,16 +1,14 @@
 """Pluggable execution backends for :class:`~repro.experiments.sweep.SweepRunner`.
 
-Four implementations of one protocol (:class:`~.base.ExecutionBackend`):
+Three implementations of one protocol (:class:`~.base.ExecutionBackend`):
 
 * :class:`~.serial.SerialBackend` — in-process, the determinism oracle;
 * :class:`~.pool.ProcessPoolBackend` — ``ProcessPoolExecutor`` fan-out
-  with solo-probe crash attribution;
-* :class:`~.distributed.DistributedBackend` — asyncio coordinator
-  feeding TCP worker processes on this or other hosts;
+  with solo-probe crash attribution, the one parallel backend;
 * :class:`~.batch.BatchBackend` — lockstep batches of simulations per
   process through the fused cycle loop of :mod:`repro.batch`.
 
-All four produce bit-identical results for the same specs; the
+All three produce bit-identical results for the same specs; the
 conformance suite (``tests/experiments/test_backends.py``) proves it.
 See ``docs/SWEEPS.md`` for the user-facing story.
 """
@@ -22,12 +20,11 @@ from typing import Optional
 from ...errors import BackendError
 from .base import BackendEventLog, Completion, ExecutionBackend
 from .batch import DEFAULT_BATCH_SIZE, BatchBackend
-from .distributed import DistributedBackend, WorkerLane, parse_lanes
 from .pool import ProcessPoolBackend
 from .serial import SerialBackend
 
 #: the spellings ``SweepConfig.backend`` accepts (besides ``"auto"``)
-BACKEND_KINDS = ("serial", "process-pool", "distributed", "batch")
+BACKEND_KINDS = ("serial", "process-pool", "batch")
 
 
 def create_backend(
@@ -35,7 +32,6 @@ def create_backend(
     *,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    lanes=None,
     batch_size: Optional[int] = None,
 ) -> ExecutionBackend:
     """Build a backend by name (the ``SweepConfig.backend`` vocabulary)."""
@@ -43,8 +39,6 @@ def create_backend(
         return SerialBackend(timeout=timeout)
     if kind == "process-pool":
         return ProcessPoolBackend(jobs, timeout=timeout)
-    if kind == "distributed":
-        return DistributedBackend(lanes=lanes, jobs=jobs, timeout=timeout)
     if kind == "batch":
         return BatchBackend(
             batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE,
@@ -63,11 +57,8 @@ __all__ = [
     "BackendEventLog",
     "BatchBackend",
     "Completion",
-    "DistributedBackend",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "WorkerLane",
     "create_backend",
-    "parse_lanes",
 ]

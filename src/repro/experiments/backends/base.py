@@ -7,10 +7,10 @@ The sweep engine separates *policy* from *mechanism*:
 * An :class:`ExecutionBackend` owns mechanism — it takes ``(index, spec)``
   submissions and hands back :class:`Completion` objects, however it
   likes: inline (:class:`~.serial.SerialBackend`), across a process pool
-  (:class:`~.pool.ProcessPoolBackend`), or over TCP to worker processes
-  on other hosts (:class:`~.distributed.DistributedBackend`).
+  (:class:`~.pool.ProcessPoolBackend`), or in lockstep batches
+  (:class:`~.batch.BatchBackend`).
 
-The contract that keeps all three bit-identical to the serial oracle:
+The contract that keeps every backend bit-identical to the serial oracle:
 
 * every submitted spec eventually yields exactly one :class:`Completion`
   (or is returned from :meth:`ExecutionBackend.cancel`);
@@ -35,7 +35,7 @@ class Completion:
     """One finished (or dead) submission flowing back to the runner.
 
     ``crashed=True`` means the worker executing this spec hard-died
-    (segfault, ``os._exit``, SIGKILL, dropped connection) with the spec
+    (segfault, ``os._exit``, SIGKILL) with the spec
     provably at fault — the runner counts it toward quarantine.
     ``dropped=True`` means the backend discarded the spec without running
     it (only after :meth:`ExecutionBackend.cancel`, during a drain); the
@@ -49,7 +49,7 @@ class Completion:
     dropped: bool = False
     #: seconds between submission and execution start (0 for serial)
     queue_seconds: float = 0.0
-    #: identity of the executing worker/lane, for trace events
+    #: identity of the executing worker, for trace events
     worker: str = ""
 
 
@@ -91,7 +91,8 @@ class ExecutionBackend(abc.ABC):
     def stats(self) -> Dict[str, object]:
         """JSON-serializable backend telemetry, merged into the sweep
         metrics snapshot (``kind``, worker counts, ``respawns``, and a
-        wall-clock ``events`` list for the Perfetto export)."""
+        wall-clock ``events`` list for the Perfetto export).  The runner
+        reads it after :meth:`close`, so it must still work then."""
         return {"kind": self.kind}
 
     def close(self) -> None:

@@ -18,9 +18,9 @@ harness) fan out on:
   knob (backend, parallelism, cache, timeout/retry, journal, tracing).
 * :class:`SweepRunner` — fans specs out across a pluggable
   :class:`~repro.experiments.backends.ExecutionBackend` (in-process
-  serial, local process pool, or a TCP-distributed worker fleet) with
-  per-run timeout and retry, records structured failures instead of
-  crashing the sweep, and exposes progress/latency/utilization metrics.
+  serial, local process pool, or lockstep batches) with per-run timeout
+  and retry, records structured failures instead of crashing the sweep,
+  and exposes progress/latency/utilization metrics.
 
 Determinism is the design constraint: every backend must produce
 the same :class:`~repro.stats.SimStats` as ``SweepConfig(jobs=1)`` and as
@@ -60,8 +60,7 @@ import signal
 import tempfile
 import threading
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import faults
@@ -100,8 +99,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 JOBS_ENV = "REPRO_JOBS"
 #: environment knob: default execution backend for ``backend="auto"``
 BACKEND_ENV = "REPRO_SWEEP_BACKEND"
-#: environment knob: default worker lanes for the distributed backend
-LANES_ENV = "REPRO_LANES"
 
 #: bump when the cached payload layout changes
 #: (v2: payload carries a SHA-256 checksum of the pickled record, verified
@@ -129,7 +126,7 @@ class ControllerSpec:
     kind: str = "none"
     clusters: Optional[int] = None
     #: typed as the closed union of algorithm-constant dataclasses (all
-    #: frozen, all repr-stable) so the wire/cache-key rules can prove the
+    #: frozen, all repr-stable) so the pickle/cache-key rules can prove the
     #: spec picklable and its repr deterministic (P502/K601)
     algo: Optional[
         Union[ExploreConfig, NoExploreConfig, FineGrainConfig]
@@ -272,11 +269,18 @@ CACHE_KEY_EXEMPT: Dict[str, Tuple[str, ...]] = {
     # bit-identical records (the conformance suite proves it), so none of
     # the runner knobs may ever influence a cached result
     "SweepConfig": (
-        "backend", "jobs", "lanes", "batch_size", "cache_dir", "use_cache",
+        "backend", "jobs", "batch_size", "cache_dir", "use_cache",
         "timeout", "retries", "retry_backoff", "journal", "resume",
         "poison_threshold", "trace_dir",
     ),
 }
+
+#: the declarative payload types that cross the process-pool boundary by
+#: pickle.  Analysis rule P502 proves each is a frozen dataclass whose
+#: fields are transitively picklable.  RunRecord (the reply direction) is
+#: deliberately absent: it is a mutable progress record, not a spec, and
+#: its pickling is exercised end-to-end by the backend conformance suite.
+WIRE_SPEC_TYPES: Tuple[str, ...] = ("repro.experiments.sweep.RunSpec",)
 
 _CODE_DIGEST: Optional[str] = None
 
@@ -650,8 +654,8 @@ class SweepMetrics:
     #: positions within the sweep (``end_seconds`` since sweep start,
     #: ``run_seconds`` executing, ``queue_seconds`` waiting for a worker)
     spec_timings: List[Dict] = field(default_factory=list)
-    #: execution-backend telemetry: kind, worker/lane inventory, respawn
-    #: count, and wall-clock lifecycle events (connect/exit/assignment)
+    #: execution-backend telemetry: kind, worker count, respawn count,
+    #: and wall-clock lifecycle events (start/respawn/close)
     backend: Dict[str, object] = field(default_factory=dict)
 
     def latency_percentile(self, pct: float) -> float:
@@ -726,34 +730,26 @@ MAX_RETRY_BACKOFF = 30.0
 class SweepConfig:
     """Every :class:`SweepRunner` knob, validated, in one place.
 
-    This replaced the runner's grown ``__init__`` kwarg pile; build one
-    and pass it as the runner's single positional argument (the facade
-    :func:`repro.api.sweep` and the CLI both do).  The old keyword
-    spellings still construct one — behind a ``DeprecationWarning`` —
-    for one more release.
+    Build one and pass it as the runner's single positional argument
+    (the facade :func:`repro.api.sweep` and the CLI both do).
 
     ``backend`` selects the execution mechanism:
 
     * ``"auto"`` (default) — ``REPRO_SWEEP_BACKEND`` if set; else
-      ``"distributed"`` when ``lanes`` is given; else ``"batch"`` when
-      ``batch_size`` is given; else ``"serial"`` for ``jobs <= 1`` and
-      ``"process-pool"`` otherwise.
-    * ``"serial"`` / ``"process-pool"`` / ``"distributed"`` /
-      ``"batch"`` — explicit.  ``"batch"`` runs ``batch_size``
-      simulations per process in lockstep (``docs/BATCHING.md``) and
-      composes with ``jobs > 1`` as a pool whose tasks are full batches.
+      ``"batch"`` when ``batch_size`` is given; else ``"serial"`` for
+      ``jobs <= 1`` and ``"process-pool"`` otherwise.
+    * ``"serial"`` / ``"process-pool"`` / ``"batch"`` — explicit.
+      ``"batch"`` runs ``batch_size`` simulations per process in
+      lockstep (``docs/BATCHING.md``) and composes with ``jobs > 1`` as a
+      pool whose tasks are full batches.
     * an :class:`~repro.experiments.backends.ExecutionBackend` instance —
       escape hatch for tests and custom executors (single-use).
 
-    ``lanes`` is the distributed worker-lane list (``"local,4"``,
-    ``"host:port,slots"``, ``;``-separated; default ``REPRO_LANES`` or
-    one local lane with ``jobs`` slots).  All backends produce
-    bit-identical records for identical specs.
+    All backends produce bit-identical records for identical specs.
     """
 
     backend: Union[str, object] = "auto"
     jobs: Optional[int] = None
-    lanes: Optional[str] = None
     batch_size: Optional[int] = None
     cache_dir: Optional[os.PathLike] = None
     use_cache: bool = True
@@ -806,11 +802,6 @@ class SweepConfig:
         """Worker count after defaults (``REPRO_JOBS``/CPU count)."""
         return default_jobs() if self.jobs is None else max(1, int(self.jobs))
 
-    def resolved_lanes(self) -> Optional[str]:
-        if self.lanes is not None:
-            return self.lanes
-        return env_text(LANES_ENV) or None
-
     def resolved_backend(self) -> Union[str, object]:
         """The concrete backend after ``"auto"`` resolution."""
         if not isinstance(self.backend, str) or self.backend != "auto":
@@ -818,21 +809,9 @@ class SweepConfig:
         env = env_text(BACKEND_ENV)
         if env:
             return env
-        if self.resolved_lanes() is not None:
-            return "distributed"
         if self.batch_size is not None:
             return "batch"
         return "serial" if self.resolved_jobs() <= 1 else "process-pool"
-
-
-#: pre-SweepConfig keyword spellings the deprecation shim still maps
-_LEGACY_RUNNER_KWARGS = frozenset(
-    {
-        "jobs", "cache_dir", "use_cache", "timeout", "retries",
-        "retry_backoff", "journal", "resume", "poison_threshold",
-        "trace_dir",
-    }
-)
 
 
 class SweepRunner:
@@ -843,8 +822,8 @@ class SweepRunner:
     and delegates *mechanism* (actually running specs) to an
     :class:`~repro.experiments.backends.ExecutionBackend` chosen by
     ``config.backend``: in-process serial (the determinism oracle), a
-    local process pool, or a TCP-distributed worker fleet.  All three
-    yield bit-identical records.
+    local process pool, or lockstep batches.  All of them yield
+    bit-identical records.
 
     Construct with a single :class:`SweepConfig`::
 
@@ -852,9 +831,6 @@ class SweepRunner:
 
     ``progress`` (a callable receiving a dict per completed run) stays a
     direct keyword — it is not part of the sweep's declarative identity.
-    The pre-``SweepConfig`` keyword pile (``jobs=``, ``use_cache=``,
-    ``timeout=``, ...) still works for one release behind a
-    ``DeprecationWarning``.
 
     While ``run()`` executes on the main thread, SIGINT/SIGTERM request a
     *drain*: no new work starts, in-flight runs finish and are journaled,
@@ -867,38 +843,12 @@ class SweepRunner:
         config: Optional[SweepConfig] = None,
         *,
         progress: Optional[Callable[[Dict], None]] = None,
-        **legacy,
     ) -> None:
         if config is not None and not isinstance(config, SweepConfig):
-            # positional jobs from the pre-SweepConfig signature
-            legacy.setdefault("jobs", config)
-            config = None
-        if legacy:
-            unknown = set(legacy) - _LEGACY_RUNNER_KWARGS
-            if unknown:
-                raise TypeError(
-                    f"SweepRunner got unexpected arguments {sorted(unknown)}; "
-                    "pass a SweepConfig"
-                )
-            warnings.warn(
-                "SweepRunner keyword arguments are deprecated; pass a "
-                "SweepConfig: SweepRunner(SweepConfig("
-                + ", ".join(f"{k}=..." for k in sorted(legacy))
-                + "))",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                f"SweepRunner takes a SweepConfig, got "
+                f"{type(config).__name__}: SweepRunner(SweepConfig(...))"
             )
-            # normalize the historical permissive spellings before the
-            # stricter SweepConfig validation sees them
-            if legacy.get("jobs") is not None:
-                legacy["jobs"] = max(1, int(legacy["jobs"]))
-            if "retries" in legacy:
-                legacy["retries"] = max(0, int(legacy["retries"]))
-            if "retry_backoff" in legacy:
-                legacy["retry_backoff"] = max(0.0, float(legacy["retry_backoff"]))
-            if "poison_threshold" in legacy:
-                legacy["poison_threshold"] = max(1, int(legacy["poison_threshold"]))
-            config = replace(config or SweepConfig(), **legacy)
         self.config = config or SweepConfig()
         self.jobs = self.config.resolved_jobs()
         self.use_cache = self.config.use_cache
@@ -935,7 +885,6 @@ class SweepRunner:
             resolved,
             jobs=self.jobs,
             timeout=self.timeout,
-            lanes=self.config.resolved_lanes(),
             batch_size=self.config.batch_size,
         )
         # align backend lifecycle timestamps with the sweep's span clock
@@ -1142,8 +1091,8 @@ class SweepRunner:
             if not timing["from_cache"] and not timing["from_journal"]
         ]
         trace = spans_chrome_trace(spans)
-        # backend lifecycle (worker spawn/connect/death, lane assignments)
-        # as Perfetto instant events on a dedicated pseudo-thread
+        # backend lifecycle (start, pool respawns, close) as Perfetto
+        # instant events on a dedicated pseudo-thread
         for event in self.metrics.backend.get("events", ()):
             details = {k: v for k, v in event.items() if k not in ("event", "t")}
             trace["traceEvents"].append(
@@ -1246,12 +1195,13 @@ class SweepRunner:
                         queue_seconds=done.queue_seconds,
                     )
         finally:
+            # close first, so the backend_close event reaches the metrics
+            backend.close()
             info = {}
             try:
                 info = backend.stats()
             except Exception:  # pragma: no cover - telemetry must not kill
                 pass
-            backend.close()
             self.metrics.pool_respawns += int(info.get("respawns", 0) or 0)
             workers = info.get("workers")
             if workers:  # utilization denominator: real worker slots

@@ -33,12 +33,6 @@ every hook is a no-op costing one ``dict`` lookup.
 Crashing is refused in the process that armed the plan (``main_pid``):
 a ``crash_profiles`` entry executed in-process (``jobs=1``) degrades to a
 raised :class:`FaultInjected` instead of killing the test runner.
-
-This module also re-exports :class:`~repro.resilience.FaultSchedule` /
-:class:`~repro.resilience.FaultEvent` — the *architectural* fault model
-(cluster kills, link severs, functional-unit faults simulated inside the
-machine) — so chaos tests can source both harness-level and
-architecture-level fault vocabulary from one place.
 """
 
 from __future__ import annotations
@@ -50,14 +44,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple
 
 from .errors import FaultInjected
-from .resilience import FaultEvent, FaultSchedule
 
 __all__ = [
     "CRASH_EXIT_CODE",
     "FAULT_PLAN_ENV",
-    "FaultEvent",
     "FaultPlan",
-    "FaultSchedule",
     "active_plan",
     "clear_fault_plan",
     "set_fault_plan",

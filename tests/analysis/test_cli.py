@@ -75,8 +75,12 @@ class TestExitCodesAndFormats:
         code, out = run_cli(capsys, "--list-rules")
         assert code == 0
         for rule_id in ("D101", "D102", "D103", "D104", "D105",
-                        "L201", "L202", "S301", "S302", "S303", "S304"):
+                        "L201", "L202", "S301", "S302", "S303", "S304",
+                        "C404", "P501", "P502", "K601", "K602"):
             assert rule_id in out
+        # retired with the distributed backend they policed
+        for rule_id in ("C401", "C402", "C403", "C405", "P503"):
+            assert rule_id not in out
 
 
 class TestBaselineWorkflow:
@@ -141,7 +145,7 @@ class TestSarifFormat:
         run_ = payload["runs"][0]
         assert run_["tool"]["driver"]["name"] == "repro.analysis"
         rule_ids = {r["id"] for r in run_["tool"]["driver"]["rules"]}
-        assert {"D101", "C401", "P502", "K601"} <= rule_ids
+        assert {"D101", "C404", "P502", "K601"} <= rule_ids
         (result,) = run_["results"]
         assert result["ruleId"] == "D101"
         region = result["locations"][0]["physicalLocation"]["region"]

@@ -1,240 +1,8 @@
-"""C4xx: blocking calls, orphaned coroutines, thread affinity."""
+"""C4xx: thread creation stays inside the execution backends."""
 
 
 def rules_of(findings, rule):
     return [f for f in findings if f.rule == rule]
-
-
-class TestC401BlockingInAsync:
-    def test_direct_sleep_in_async_def(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/pipeline/p.py": """
-                import time
-
-                async def serve():
-                    time.sleep(1)
-                """
-            },
-            select=("C401",),
-        )
-        (finding,) = rules_of(findings, "C401")
-        assert "time.sleep" in finding.message
-        assert "serve" in finding.message
-
-    def test_blocking_call_via_sync_helper_reached_from_async(
-        self, findings_of
-    ):
-        findings = findings_of(
-            {
-                "repro/pipeline/p.py": """
-                import subprocess
-
-                def spawn():
-                    subprocess.Popen(["true"])
-
-                async def serve():
-                    spawn()
-                """
-            },
-            select=("C401",),
-        )
-        (finding,) = rules_of(findings, "C401")
-        assert "subprocess.Popen" in finding.message
-
-    def test_run_in_executor_is_the_sanctioned_escape(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/pipeline/p.py": """
-                import asyncio
-                import subprocess
-
-                def spawn():
-                    return subprocess.Popen(["true"])
-
-                async def serve():
-                    loop = asyncio.get_running_loop()
-                    return await loop.run_in_executor(None, spawn)
-                """
-            },
-            select=("C401",),
-        )
-        # the callable is passed by reference, not called: no edge
-        assert rules_of(findings, "C401") == []
-
-    def test_sync_only_module_is_out_of_scope(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/pipeline/p.py": """
-                import time
-
-                def wait():
-                    time.sleep(1)
-                """
-            },
-            select=("C401",),
-        )
-        assert rules_of(findings, "C401") == []
-
-    def test_queue_get_on_known_primitive_in_async(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/pipeline/p.py": """
-                import queue
-
-                class C:
-                    def __init__(self):
-                        self._q = queue.Queue()
-
-                    async def serve(self):
-                        return self._q.get()
-                """
-            },
-            select=("C401",),
-        )
-        assert len(rules_of(findings, "C401")) == 1
-
-    def test_dict_get_is_not_a_blocking_call(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/pipeline/p.py": """
-                class C:
-                    def __init__(self):
-                        self._cache = {}
-
-                    async def serve(self):
-                        return self._cache.get("x")
-                """
-            },
-            select=("C401",),
-        )
-        assert rules_of(findings, "C401") == []
-
-
-class TestC402OrphanedCoroutine:
-    def test_discarded_coroutine_call_flagged(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/pipeline/p.py": """
-                class C:
-                    async def _work(self):
-                        pass
-
-                    async def serve(self):
-                        self._work()
-                """
-            },
-            select=("C402",),
-        )
-        (finding,) = rules_of(findings, "C402")
-        assert "_work" in finding.message
-
-    def test_awaited_and_scheduled_calls_pass(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/pipeline/p.py": """
-                import asyncio
-
-                class C:
-                    async def _work(self):
-                        pass
-
-                    async def serve(self):
-                        await self._work()
-                        task = asyncio.ensure_future(self._work())
-                        return task
-                """
-            },
-            select=("C402",),
-        )
-        assert rules_of(findings, "C402") == []
-
-    def test_assigned_but_never_used_coroutine_flagged(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/pipeline/p.py": """
-                class C:
-                    async def _work(self):
-                        pass
-
-                    async def serve(self):
-                        pending = self._work()
-                """
-            },
-            select=("C402",),
-        )
-        assert len(rules_of(findings, "C402")) == 1
-
-
-class TestC403CrossThreadMutation:
-    HYBRID = """
-    import asyncio
-    import threading
-
-    class Backend:
-        def __init__(self):
-            self.count = 0
-            self._thread = threading.Thread(target=self._run, daemon=True)
-
-        def _run(self):
-            asyncio.run(self._serve())
-
-        async def _serve(self):
-            self.count += 1
-
-        def close(self):
-            {close_body}
-    """
-
-    def test_unguarded_write_on_both_sides_flagged(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/experiments/backends/b.py": self.HYBRID.format(
-                    close_body="self.count = -1"
-                )
-            },
-            select=("C403",),
-        )
-        (finding,) = rules_of(findings, "C403")
-        assert "count" in finding.message
-
-    def test_caller_side_read_only_passes(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/experiments/backends/b.py": self.HYBRID.format(
-                    close_body="return self.count"
-                )
-            },
-            select=("C403",),
-        )
-        assert rules_of(findings, "C403") == []
-
-    def test_lock_guarded_write_passes(self, findings_of):
-        source = """
-        import asyncio
-        import threading
-
-        class Backend:
-            def __init__(self):
-                self.count = 0
-                self._lock = threading.Lock()
-                self._thread = threading.Thread(target=self._run)
-
-            def _run(self):
-                asyncio.run(self._serve())
-
-            async def _serve(self):
-                with self._lock:
-                    self.count += 1
-
-            def close(self):
-                with self._lock:
-                    self.count = -1
-        """
-        findings = findings_of(
-            {"repro/experiments/backends/b.py": source}, select=("C403",)
-        )
-        assert rules_of(findings, "C403") == []
 
 
 class TestC404ThreadCreation:
@@ -265,75 +33,3 @@ class TestC404ThreadCreation:
             select=("C404",),
         )
         assert rules_of(findings, "C404") == []
-
-
-class TestC405UnboundedWait:
-    def test_get_without_timeout_in_backends_flagged(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/experiments/backends/b.py": """
-                import queue
-
-                class Backend:
-                    def __init__(self):
-                        self._q = queue.Queue()
-
-                    def drain(self):
-                        return self._q.get()
-                """
-            },
-            select=("C405",),
-        )
-        (finding,) = rules_of(findings, "C405")
-        assert "timeout" in finding.message
-
-    def test_get_with_timeout_passes(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/experiments/backends/b.py": """
-                import queue
-
-                class Backend:
-                    def __init__(self):
-                        self._q = queue.Queue()
-
-                    def drain(self):
-                        return self._q.get(timeout=0.5)
-                """
-            },
-            select=("C405",),
-        )
-        assert rules_of(findings, "C405") == []
-
-    def test_worker_module_is_sync_by_design(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/experiments/backends/worker.py": """
-                import queue
-
-                def drain(q):
-                    jobs = queue.Queue()
-                    return jobs.get()
-                """
-            },
-            select=("C405",),
-        )
-        assert rules_of(findings, "C405") == []
-
-    def test_unbounded_put_is_the_sanctioned_handoff(self, findings_of):
-        findings = findings_of(
-            {
-                "repro/experiments/backends/b.py": """
-                import queue
-
-                class Backend:
-                    def __init__(self):
-                        self._q = queue.Queue()
-
-                    def push(self, item):
-                        self._q.put(item)
-                """
-            },
-            select=("C405",),
-        )
-        assert rules_of(findings, "C405") == []

@@ -154,39 +154,9 @@ class TestCallGraph:
                     return 1
             """
         )
-        assert flow.reachable(["C.entry"]) == {"C.entry", "C._helper"}
-
-    def test_skip_async_targets_models_coroutine_creation(self, flow_of):
-        flow = flow_of(
-            """
-            class C:
-                def sync_entry(self):
-                    self._loop_body()
-
-                async def _loop_body(self):
-                    pass
-            """
-        )
-        full = flow.reachable(["C.sync_entry"])
-        sync_only = flow.reachable(["C.sync_entry"], skip_async_targets=True)
-        assert "C._loop_body" in full
-        assert "C._loop_body" not in sync_only
-
-    def test_call_paths_to_finds_shortest_chain(self, flow_of):
-        flow = flow_of(
-            """
-            def a():
-                b()
-
-            def b():
-                c()
-
-            def c():
-                pass
-            """
-        )
-        assert flow.call_paths_to("c", ["a"]) == ["a", "b", "c"]
-        assert flow.call_paths_to("a", ["c"]) is None
+        (site,) = flow.calls_from["C.entry"]
+        assert site.local == "C._helper"
+        assert site.dotted is None
 
     def test_imported_call_resolves_to_dotted_path(self, flow_of):
         flow = flow_of(
@@ -237,14 +207,6 @@ class TestAttributeChains:
         assert flow.attr_reads("C.entry") == {"_indirect"}
         reads = flow.attr_reads_transitive("C", "entry")
         assert {"total", "_q"} <= reads
-
-    def test_attr_writes_recorded(self, flow_of):
-        flow = flow_of(self.SOURCE)
-        assert set(flow.attr_writes("C.__init__")) == {"_q", "total"}
-
-    def test_self_attr_types_resolve_constructors(self, flow_of):
-        flow = flow_of(self.SOURCE)
-        assert flow.self_attr_types("C")["_q"] == "queue.Queue"
 
 
 class TestAsyncAndMemoization:

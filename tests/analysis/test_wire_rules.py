@@ -1,4 +1,4 @@
-"""P5xx: pickle-safety of payloads, wire types, and frame dispatch."""
+"""P5xx: pickle-safety of payloads and of the declared payload types."""
 
 
 def rules_of(findings, rule):
@@ -96,46 +96,17 @@ class TestP501UnpicklablePayload:
         assert rules_of(findings, "P501") == []
 
 
-WIRE = """
-from typing import Dict, Tuple
-
-FRAME_TYPES: Dict[str, str] = {
-    "job": "coordinator->worker",
-    "result": "worker->coordinator",
-}
+SWEEP = """
+from typing import Tuple
 
 WIRE_SPEC_TYPES: Tuple[str, ...] = ("repro.pipeline.spec.Spec",)
-
-
-def send(sock, frame):
-    pass
-"""
-
-DISTRIBUTED_OK = """
-def dispatch(reply):
-    kind = reply.get("type")
-    if kind == "result":
-        return reply
-    raise ValueError(kind)
-
-
-def submit_job(wire, sock, spec):
-    wire.send(sock, {"type": "job", "spec": spec})
-"""
-
-WORKER_OK = """
-def serve(wire, sock, frame):
-    if frame["type"] == "job":
-        wire.send(sock, {"type": "result"})
 """
 
 
 class TestP502WireTypes:
     def tree(self, spec_source):
         return {
-            "repro/pipeline/wire.py": WIRE,
-            "repro/pipeline/distributed.py": DISTRIBUTED_OK,
-            "repro/pipeline/worker.py": WORKER_OK,
+            "repro/experiments/sweep.py": SWEEP,
             "repro/pipeline/spec.py": spec_source,
         }
 
@@ -213,47 +184,10 @@ class TestP502WireTypes:
         (finding,) = rules_of(findings, "P502")
         assert "Inner" in finding.message
 
-
-class TestP503FrameDispatch:
-    def tree(self, wire=WIRE, distributed=DISTRIBUTED_OK, worker=WORKER_OK):
-        return {
-            "repro/pipeline/wire.py": wire,
-            "repro/pipeline/distributed.py": distributed,
-            "repro/pipeline/worker.py": worker,
-            "repro/pipeline/spec.py": """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Spec:
-                name: str
-            """,
-        }
-
-    def test_complete_dispatch_passes(self, findings_of):
-        findings = findings_of(self.tree(), select=("P503",))
-        assert rules_of(findings, "P503") == []
-
-    def test_declared_tag_missing_from_both_sides(self, findings_of):
-        wire = WIRE.replace(
-            '"job": "coordinator->worker",',
-            '"job": "coordinator->worker",\n    "ping": "either",',
-        )
-        findings = findings_of(self.tree(wire=wire), select=("P503",))
-        found = rules_of(findings, "P503")
-        assert len(found) == 2  # absent from coordinator AND worker
-        assert all("ping" in f.message for f in found)
-
-    def test_undeclared_produced_tag_flagged(self, findings_of):
-        worker = WORKER_OK.replace(
-            '{"type": "result"}', '{"type": "surprise"}'
-        )
-        findings = findings_of(self.tree(worker=worker), select=("P503",))
-        assert any(
-            "surprise" in f.message for f in rules_of(findings, "P503")
-        )
-
-    def test_missing_worker_module_is_a_finding(self, findings_of):
-        tree = self.tree()
-        del tree["repro/pipeline/worker.py"]
-        findings = findings_of(tree, select=("P503",))
-        assert rules_of(findings, "P503")
+    def test_missing_declaration_is_a_finding(self, findings_of):
+        """Deleting the contract must not silently switch P502 off."""
+        tree = self.tree("")
+        tree["repro/experiments/sweep.py"] = "RETRIES = 1\n"
+        findings = findings_of(tree, select=("P502",))
+        (finding,) = rules_of(findings, "P502")
+        assert "WIRE_SPEC_TYPES" in finding.message

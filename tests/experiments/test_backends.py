@@ -1,36 +1,20 @@
 """Backend conformance suite.
 
-One spec matrix, four execution backends, bit-identical records — the
+One spec matrix, three execution backends, bit-identical records — the
 contract that makes the backend a pure mechanism choice.  Plus the
-distributed-specific machinery: lane parsing, the wire protocol, worker
-death (retry and quarantine), and journal resume across backends.
+runner policy every backend inherits: crash quarantine followed by a
+journal resume, and backend lifecycle telemetry.
 """
 
 import json
 import os
-import signal
-import socket
-import struct
-import threading
 
 import pytest
 
 from repro import faults
 from repro.config import default_config
 from repro.errors import BackendError
-from repro.experiments.backends import (
-    BACKEND_KINDS,
-    create_backend,
-    parse_lanes,
-)
-from repro.experiments.backends.wire import (
-    MAGIC,
-    MAX_FRAME,
-    WireError,
-    pack,
-    recv,
-    send,
-)
+from repro.experiments.backends import BACKEND_KINDS, create_backend
 from repro.experiments.sweep import (
     ControllerSpec,
     RunSpec,
@@ -88,14 +72,11 @@ def no_leftover_plan():
 @pytest.fixture(autouse=True)
 def no_backend_env(monkeypatch):
     monkeypatch.delenv("REPRO_SWEEP_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_LANES", raising=False)
 
 
 def config_for(kind, **kw):
     """A SweepConfig that forces one concrete backend."""
-    if kind == "distributed":
-        kw.setdefault("lanes", "local,2")
-    elif kind == "process-pool":
+    if kind == "process-pool":
         kw.setdefault("jobs", 2)
     elif kind == "batch":
         kw.setdefault("batch_size", 4)
@@ -110,7 +91,7 @@ class TestConformance:
         """The serial oracle over the full 20-spec matrix."""
         return SweepRunner(config_for("serial")).run(matrix_specs())
 
-    @pytest.mark.parametrize("kind", ["process-pool", "distributed", "batch"])
+    @pytest.mark.parametrize("kind", ["process-pool", "batch"])
     def test_matrix_bit_identical_to_serial(self, kind, reference):
         records = SweepRunner(config_for(kind)).run(matrix_specs())
         assert [r.status for r in records] == ["ok"] * len(records)
@@ -171,19 +152,9 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
         assert SweepConfig(jobs=8).resolved_backend() == "serial"
 
-    def test_env_lanes_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "local,3")
-        config = SweepConfig()
-        assert config.resolved_backend() == "distributed"
-        assert config.resolved_lanes() == "local,3"
-
     def test_batch_size_implies_batch_backend(self):
         assert SweepConfig(batch_size=4).resolved_backend() == "batch"
-        # explicit lanes still win: distributed workers each run serially
-        assert (
-            SweepConfig(batch_size=4, lanes="local,2").resolved_backend()
-            == "distributed"
-        )
+        assert SweepConfig(batch_size=4, jobs=4).resolved_backend() == "batch"
 
     def test_batch_size_validated(self):
         with pytest.raises(Exception):
@@ -197,104 +168,9 @@ class TestBackendSelection:
         assert records[0].ok
 
 
-class TestParseLanes:
-    def test_default_is_one_local_lane(self):
-        [lane] = parse_lanes(None, default_slots=3)
-        assert lane.is_local and lane.slots == 3
-
-    def test_count_spellings(self):
-        assert parse_lanes("4", default_slots=1)[0].slots == 4
-        assert parse_lanes(4, default_slots=1)[0].slots == 4
-        assert parse_lanes("local,2", default_slots=1)[0].slots == 2
-
-    def test_remote_lane(self):
-        [lane] = parse_lanes("nodeA:9000,8", default_slots=1)
-        assert not lane.is_local
-        assert (lane.host, lane.port, lane.slots) == ("nodeA", 9000, 8)
-
-    def test_mixed_lanes(self):
-        lanes = parse_lanes("local,2;nodeA:9000,4", default_slots=1)
-        assert [lane.slots for lane in lanes] == [2, 4]
-        assert lanes[0].is_local and not lanes[1].is_local
-
-    @pytest.mark.parametrize(
-        "bad", ["local,0", "local,-1", "host:notaport,2", ":9000,2",
-                "host,x"]
-    )
-    def test_bad_lane_syntax_rejected(self, bad):
-        with pytest.raises(BackendError):
-            parse_lanes(bad, default_slots=1)
-
-
-class TestWireProtocol:
-    def test_round_trip(self):
-        a, b = socket.socketpair()
-        try:
-            message = {"type": "job", "index": 3, "payload": list(range(50))}
-            send(a, message)
-            assert recv(b) == message
-        finally:
-            a.close()
-            b.close()
-
-    def test_clean_eof_is_none(self):
-        a, b = socket.socketpair()
-        a.close()
-        try:
-            assert recv(b) is None
-        finally:
-            b.close()
-
-    def test_mid_frame_eof_raises(self):
-        a, b = socket.socketpair()
-        try:
-            frame = pack({"type": "job"})
-            a.sendall(frame[: len(frame) - 2])
-            a.close()
-            with pytest.raises(WireError):
-                recv(b)
-        finally:
-            b.close()
-
-    def test_bad_magic_rejected(self):
-        a, b = socket.socketpair()
-        try:
-            a.sendall(struct.pack("!4sI", b"BOGU", 4) + b"\x00" * 4)
-            with pytest.raises(WireError, match="magic"):
-                recv(b)
-        finally:
-            a.close()
-            b.close()
-
-    def test_oversized_frame_rejected(self):
-        a, b = socket.socketpair()
-        try:
-            a.sendall(struct.pack("!4sI", MAGIC, MAX_FRAME + 1))
-            with pytest.raises(WireError, match="frame"):
-                recv(b)
-        finally:
-            a.close()
-            b.close()
-
-
-class TestDistributedFaults:
-    """Worker death under the distributed backend: blamed correctly,
-    survived via respawn + retry, quarantined when unbounded, resumable."""
-
-    def test_single_crash_respawns_and_retries(self, tmp_path):
-        token_dir = tmp_path / "tokens"
-        token_dir.mkdir()
-        (token_dir / "crash-0").touch()  # budget: exactly one worker death
-        faults.set_fault_plan(
-            faults.FaultPlan(
-                crash_profiles=("swim",), crash_token_dir=str(token_dir)
-            )
-        )
-        runner = SweepRunner(config_for("distributed"))
-        records = runner.run([spec_for(p) for p in ("gzip", "swim", "vpr")])
-        assert [r.status for r in records] == ["ok", "ok", "ok"]
-        assert runner.metrics.pool_respawns >= 1
-        assert list(token_dir.iterdir()) == []
+class TestPoolCrashPolicy:
+    """Runner policy on top of the pool's solo-probe crash attribution:
+    quarantine a repeat crasher, then resume the sweep from its journal."""
 
     def test_repeat_crasher_quarantined_then_resume_completes(self, tmp_path):
         """A spec that kills every worker it touches is poisoned without
@@ -303,7 +179,7 @@ class TestDistributedFaults:
         journal_path = tmp_path / "sweep.jsonl"
         faults.set_fault_plan(faults.FaultPlan(crash_profiles=("swim",)))
         runner = SweepRunner(
-            config_for("distributed", retries=0, poison_threshold=2,
+            config_for("process-pool", retries=0, poison_threshold=2,
                        journal=journal_path)
         )
         records = runner.run([spec_for(p) for p in ("gzip", "swim", "vpr")])
@@ -315,7 +191,7 @@ class TestDistributedFaults:
 
         faults.clear_fault_plan()
         resumed = SweepRunner(
-            config_for("distributed", retries=0, poison_threshold=2,
+            config_for("process-pool", retries=0, poison_threshold=2,
                        journal=journal_path, resume=True)
         )
         records = resumed.run([spec_for(p) for p in ("gzip", "swim", "vpr")])
@@ -325,53 +201,24 @@ class TestDistributedFaults:
         reference = SweepRunner(config_for("serial")).run(
             [spec_for(p) for p in ("gzip", "swim", "vpr")]
         )
-        assert snapshot(records)[0] == snapshot(reference)[0]
-        assert snapshot(records)[2] == snapshot(reference)[2]
-
-    def test_sigkilled_worker_is_respawned(self):
-        """An externally SIGKILL-ed idle worker draws no blame: the lane is
-        respawned and the sweep completes all-ok."""
-        backend = create_backend("distributed", lanes="local,2", jobs=2)
-        runner = SweepRunner(SweepConfig(backend=backend, use_cache=False))
-        records = runner.run(
-            [spec_for(p) for p in ("gzip", "swim", "vpr", "crafty")],
-        )
-        # sanity without injection first: now repeat with the kill hook
-        assert all(r.ok for r in records)
-
-        backend2 = create_backend("distributed", lanes="local,2", jobs=2)
-        killed = threading.Event()
-
-        def kill_one(event):
-            if not killed.is_set() and backend2._procs:
-                os.kill(backend2._procs[0].pid, signal.SIGKILL)
-                killed.set()
-
-        runner2 = SweepRunner(
-            SweepConfig(backend=backend2, use_cache=False), progress=kill_one
-        )
-        records2 = runner2.run(
-            [spec_for(p) for p in ("gzip", "swim", "vpr", "crafty")],
-        )
-        assert killed.is_set()
-        assert all(r.ok for r in records2)
-        assert snapshot(records2) == snapshot(records)
+        assert snapshot(records) == snapshot(reference)
 
 
 class TestBackendObservability:
     def test_lifecycle_events_exported(self, tmp_path):
-        runner = SweepRunner(config_for("distributed", trace_dir=tmp_path))
+        runner = SweepRunner(config_for("process-pool", trace_dir=tmp_path))
         runner.run([spec_for(p) for p in ("gzip", "swim")])
-        events = runner.metrics.snapshot()["backend"]["events"]
-        kinds = [e["event"] for e in events]
-        assert "coordinator_listen" in kinds
-        assert kinds.count("worker_spawn") == 2
-        assert "worker_connect" in kinds
-        assert "lane_assign" in kinds
+        kinds = [e["event"] for e in runner.metrics.snapshot()["backend"]["events"]]
+        assert kinds[0] == "backend_start"
+        assert kinds[-1] == "backend_close"
 
+        metrics = json.loads((tmp_path / "sweep_metrics.json").read_text())
+        exported = {e["event"] for e in metrics["backend"]["events"]}
         trace = json.loads((tmp_path / "sweep_trace.json").read_text())
         names = {e.get("name") for e in trace["traceEvents"]}
-        assert "lane_assign" in names
+        for event in ("backend_start", "backend_close"):
+            assert event in exported
+            assert event in names
 
     def test_serial_backend_stats_shape(self):
         runner = SweepRunner(config_for("serial"))
@@ -387,10 +234,9 @@ class TestBackendObservability:
     reason="scaling acceptance needs >= 4 cores",
 )
 class TestScaling:
-    def test_distributed_4x_beats_serial_3x(self):
-        """The PR acceptance criterion: a 200-spec synthetic sweep on a
-        4-worker localhost DistributedBackend finishes >= 3x faster than
-        SerialBackend, bit-identical."""
+    def test_pool_4x_beats_serial_3x(self):
+        """A 200-spec synthetic sweep on a 4-worker process pool finishes
+        >= 3x faster than the serial backend, bit-identical."""
         import time
 
         specs = [
@@ -408,12 +254,10 @@ class TestScaling:
         serial_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        distributed = SweepRunner(
-            config_for("distributed", lanes="local,4")
-        ).run(specs)
-        distributed_s = time.perf_counter() - t0
+        pooled = SweepRunner(config_for("process-pool", jobs=4)).run(specs)
+        pooled_s = time.perf_counter() - t0
 
-        assert snapshot(distributed) == snapshot(serial)
-        assert distributed_s * 3 <= serial_s, (
-            f"distributed {distributed_s:.1f}s vs serial {serial_s:.1f}s"
+        assert snapshot(pooled) == snapshot(serial)
+        assert pooled_s * 3 <= serial_s, (
+            f"process-pool {pooled_s:.1f}s vs serial {serial_s:.1f}s"
         )

@@ -366,25 +366,13 @@ class TestDefaultJobs:
 
 
 class TestSweepConfig:
-    def test_legacy_kwargs_warn_and_match(self):
-        """The kwarg-pile spelling still works for one release behind a
-        DeprecationWarning and produces the same records as SweepConfig."""
-        with pytest.warns(DeprecationWarning, match="SweepConfig"):
-            legacy = SweepRunner(jobs=1, use_cache=False)
-        modern = SweepRunner(SweepConfig(jobs=1, use_cache=False))
-        specs = [spec_for("gzip")]
-        [a] = legacy.run(specs)
-        [b] = modern.run(specs)
-        assert a.result.stats.snapshot() == b.result.stats.snapshot()
-
-    def test_legacy_positional_jobs(self):
-        with pytest.warns(DeprecationWarning, match="SweepConfig"):
-            runner = SweepRunner(2)
-        assert runner.config.jobs == 2
-
-    def test_unknown_legacy_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="unexpected arguments"):
-            SweepRunner(SweepConfig(jobs=1), bogus=True)
+    def test_retired_runner_kwargs_raise(self):
+        """The pre-SweepConfig spellings are gone: keywords and a
+        positional job count both raise instead of constructing."""
+        with pytest.raises(TypeError):
+            SweepRunner(jobs=1)
+        with pytest.raises(TypeError, match="SweepConfig"):
+            SweepRunner(2)
 
     def test_config_validation(self):
         from repro.errors import ConfigError
@@ -393,14 +381,15 @@ class TestSweepConfig:
             SweepConfig(jobs=-1)
         with pytest.raises(ConfigError, match="backend"):
             SweepConfig(backend="steam-powered")
+        with pytest.raises(ConfigError, match="backend"):
+            SweepConfig(backend="distributed")  # retired
         with pytest.raises(ConfigError, match="retries"):
             SweepConfig(retries=-1)
 
     def test_resolved_backend_auto(self, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_LANES", raising=False)
         assert SweepConfig(jobs=1).resolved_backend() == "serial"
         assert SweepConfig(jobs=4).resolved_backend() == "process-pool"
-        assert SweepConfig(lanes="local,2").resolved_backend() == "distributed"
+        assert SweepConfig(batch_size=2).resolved_backend() == "batch"
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
         assert SweepConfig(jobs=4).resolved_backend() == "serial"

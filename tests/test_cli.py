@@ -160,7 +160,7 @@ class TestHelpText:
         assert "python -m repro.analysis" in out
         for flag in ("--jobs", "--no-cache", "--timeout", "--metrics-json",
                      "--journal", "--resume", "--trace", "--backend",
-                     "--workers"):
+                     "--batch-size"):
             assert flag in out, f"top-level help must mention {flag}"
         for doc in ("docs/SWEEPS.md", "docs/OBSERVABILITY.md",
                     "docs/ANALYSIS.md", "docs/ARCHITECTURE.md"):

@@ -172,7 +172,7 @@ class TestEnvSwitches:
 
     def test_every_environ_read_goes_through_config(self):
         """D105 in spirit: no repro module reads os.environ directly
-        (spawn_env and the config readers are the sanctioned doorway)."""
+        (the config readers are the sanctioned doorway)."""
         import pathlib
 
         import repro
@@ -199,10 +199,3 @@ class TestEnvSwitches:
         assert env_float("REPRO_TEST_X") is None
         monkeypatch.delenv("REPRO_TEST_X")
         assert env_int("REPRO_TEST_X") is None
-
-    def test_spawn_env_overrides(self):
-        from repro.config import spawn_env
-
-        env = spawn_env(REPRO_TEST_Y=4)
-        assert env["REPRO_TEST_Y"] == "4"
-        assert "PATH" in env

@@ -1,11 +1,9 @@
 """Docs lint: retired spellings and stale cross-references.
 
 The executable-docs test proves ```python blocks still *run*; this file
-covers what execution cannot: deprecated-but-still-working spellings
-(the one-release shims keep them alive precisely so old user code warns
-instead of breaking — the docs must never teach them), retired call
-shapes inside non-executed fences, and `docs/*.md` cross-references to
-files that no longer (or don't yet) exist.
+covers what execution cannot: retired call shapes and knobs inside
+non-executed fences and inline backtick spans, and `docs/*.md`
+cross-references to files that no longer (or don't yet) exist.
 """
 
 import pathlib
@@ -17,18 +15,26 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DOC_FILES = sorted([REPO / "README.md", *(REPO / "docs").glob("*.md")])
 EXAMPLE_FILES = sorted((REPO / "examples").glob("*.py"))
 
-#: retired spellings: (name, regex, what replaced it).  These live behind
-#: DeprecationWarning shims or were removed outright (L202); docs and
-#: examples must use only the current vocabulary.
+#: retired spellings: (name, regex, what replaced it).  These were removed
+#: outright (some are also banned in code by L202); docs and examples must
+#: use only the current vocabulary.
 RETIRED = [
     (
         "SweepRunner legacy kwargs",
         re.compile(
             r"SweepRunner\(\s*(jobs|use_cache|cache_dir|timeout|retries"
             r"|retry_backoff|poison_threshold|journal|resume|trace_dir"
-            r"|lanes|backend|batch_size)\s*="
+            r"|backend|batch_size)\s*="
         ),
         "SweepRunner(SweepConfig(...))",
+    ),
+    (
+        "distributed backend",
+        re.compile(
+            r"--workers\b|--lanes\b|\blanes\s*=|REPRO_LANES"
+            r"|backend\s*=\s*[\"']distributed[\"']|--backend[ =]distributed"
+        ),
+        'backend="process-pool", jobs=N (CLI --jobs N)',
     ),
     (
         "positional simulate(trace, config)",
@@ -51,9 +57,14 @@ RETIRED = [
 _DOC_REF = re.compile(r"\bdocs/([A-Z_]+\.md)\b")
 
 
-def _fenced_blocks(path):
-    """Yield (lineno, text) for every fenced block, whatever the tag —
-    retired spellings are banned even in illustrative ```text fences."""
+#: an inline code span: `code`, or ``code with a ` inside``
+_INLINE_SPAN = re.compile(r"(`+)(.+?)\1")
+
+
+def _code_spans(path):
+    """Yield (lineno, text) for every fenced block, whatever the tag, and
+    every inline backtick span outside the fences — retired spellings are
+    banned even in illustrative ```text fences and in prose."""
     lines = path.read_text(encoding="utf-8").splitlines()
     start = None
     block = []
@@ -62,6 +73,9 @@ def _fenced_blocks(path):
             if line.lstrip().startswith("```"):
                 start = number + 1
                 block = []
+            else:
+                for span in _INLINE_SPAN.finditer(line):
+                    yield number, span.group(2)
         elif line.strip() == "```":
             yield start, "\n".join(block)
             start = None
@@ -74,7 +88,7 @@ def _fenced_blocks(path):
 )
 def test_doc_code_blocks_use_current_vocabulary(path):
     offenders = []
-    for lineno, block in _fenced_blocks(path):
+    for lineno, block in _code_spans(path):
         for name, pattern, instead in RETIRED:
             if pattern.search(block):
                 offenders.append(
@@ -125,6 +139,7 @@ def test_lint_catches_retired_spellings():
     silently)."""
     bad = {
         "SweepRunner legacy kwargs": "runner = SweepRunner(jobs=4, use_cache=False)",
+        "distributed backend": 'sweep(specs, backend="distributed")',
         "positional simulate(trace, config)": "simulate(trace, default_config(16))",
         "positional run_trace controller-plus-warmup": (
             "run_trace(trace, config, controller, 4000)"
@@ -132,3 +147,20 @@ def test_lint_catches_retired_spellings():
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"
+
+
+def test_lint_scans_inline_spans_and_fences(tmp_path):
+    """Prose mentions count too: an inline span outside any fence is
+    scanned, as is every line of a fence, each with its own line number."""
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Use `SweepRunner(trace_dir=...)` here.\n"
+        "```text\n"
+        "python -m repro figure5 --jobs 2\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    assert list(_code_spans(doc)) == [
+        (1, "SweepRunner(trace_dir=...)"),
+        (3, "python -m repro figure5 --jobs 2"),
+    ]
