@@ -1,4 +1,4 @@
-"""The 25-case fingerprint: tracing must never perturb the simulation.
+"""The fingerprint suite: tracing must never perturb the simulation.
 
 Every topology x reconfiguration-policy combination is run twice — once
 untraced, once with an aggressive tracer attached — and the full SimStats
@@ -8,8 +8,10 @@ path, including the ones that emit from dispatch and commit hot loops.
 
 Each case's untraced SimStats is additionally pinned as a digest in
 ``golden_fingerprints.json``: any change to simulator timing on any
-topology (including torus and ring-of-rings) fails here first.  After an
-intentional timing change, regenerate with::
+topology (including torus and ring-of-rings) fails here first.  The
+multiprogrammed co-scheduler is pinned the same way, one digest over the
+merged and per-thread statistics of each run.  After an intentional
+timing change, regenerate with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/test_fingerprint.py
@@ -24,6 +26,7 @@ import pathlib
 import pytest
 
 from repro import generate_trace, get_profile, simulate
+from repro.multiprog import MultiProgSpec, run_multiprog
 from repro.observability import MemoryTracer
 from repro.resilience import FaultEvent, FaultSchedule
 
@@ -73,6 +76,16 @@ FAULT_SCENARIOS = {
     ),
 }
 
+#: multiprogrammed cases: two mixes x two fabrics x every arbiter, plus
+#: one kill/restore schedule whose events fall mid-epoch
+MULTIPROG_MIXES = (("gzip", "swim"), ("crafty", "galgel", "parser", "djpeg"))
+MULTIPROG_FABRICS = ("torus", "grid")
+MULTIPROG_ARBITERS = ("static", "round-robin", "comm-aware")
+MULTIPROG_KILL_RESTORE = FaultSchedule((
+    FaultEvent(cycle=350, kind="cluster_kill", cluster=5),
+    FaultEvent(cycle=1100, kind="cluster_restore", cluster=5),
+))
+
 GOLDEN = pathlib.Path(__file__).with_name("golden_fingerprints.json")
 
 _TRACE = generate_trace(get_profile("gzip"), 3_000, seed=13)
@@ -120,46 +133,35 @@ def test_faulted_run_is_bit_identical(topology, scenario):
     )
 
 
-def test_batched_runs_match_every_golden():
-    """All 55 fingerprint cases replayed through one lockstep
-    :class:`~repro.batch.BatchEngine` must reproduce the committed
-    digests bit-for-bit — the batch engine is a mechanism, never a
-    timing model."""
-    if os.environ.get("REPRO_REGEN_GOLDEN"):
-        pytest.skip("goldens are being regenerated from the serial paths")
-    from repro.api import SimSpec
-    from repro.batch import BatchEngine, BatchJob
+def _multiprog_fingerprint(mix, topology, arbiter, faults=None):
+    result = run_multiprog(MultiProgSpec(
+        mix, trace_length=1_500, seed=7, topology=topology, arbiter=arbiter,
+        epoch_cycles=400, faults=faults,
+    ))
+    assert result.committed == 1_500 * len(mix)
+    payload = json.dumps(
+        [dataclasses.asdict(result.stats)]
+        + [dataclasses.asdict(thread.stats) for thread in result.threads],
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    cases = {}
-    for topology in TOPOLOGIES:
-        for policy in POLICIES:
-            cases[f"{topology}/{policy}"] = (topology, policy, None)
-        for scenario, (policy, schedule) in FAULT_SCENARIOS.items():
-            cases[f"{topology}/{policy}+{scenario}"] = (
-                topology, policy, schedule,
-            )
-    engine = BatchEngine(batch_size=7)
-    for key, (topology, policy, schedule) in cases.items():
-        spec = SimSpec(
-            workload=_TRACE, topology=topology, reconfig_policy=policy,
-            warmup=500, faults=schedule,
-        )
-        engine.submit(key, BatchJob(
-            trace=_TRACE,
-            config=spec.processor_config(),
-            controller=spec.controller_spec().build(),
-            warmup=500,
-            fault_schedule=schedule,
-        ))
-    expected = json.loads(GOLDEN.read_text())
-    seen = set()
-    for outcome in engine.run():
-        assert outcome.ok, (outcome.key, outcome.error)
-        assert fingerprint(outcome.result.stats) == expected[outcome.key], (
-            f"batched fingerprint diverged from golden for {outcome.key}"
-        )
-        seen.add(outcome.key)
-    assert seen == set(cases)
+
+@pytest.mark.parametrize("mix", MULTIPROG_MIXES, ids="+".join)
+@pytest.mark.parametrize("topology", MULTIPROG_FABRICS)
+@pytest.mark.parametrize("arbiter", MULTIPROG_ARBITERS)
+def test_multiprog_run_matches_golden(mix, topology, arbiter):
+    _check_golden(
+        f"multiprog/{'+'.join(mix)}/{topology}/{arbiter}",
+        _multiprog_fingerprint(mix, topology, arbiter),
+    )
+
+
+def test_multiprog_kill_restore_matches_golden():
+    digest = _multiprog_fingerprint(
+        ("gzip", "swim"), "torus", "comm-aware", MULTIPROG_KILL_RESTORE
+    )
+    _check_golden("multiprog/gzip+swim/torus/comm-aware+kill-restore", digest)
 
 
 def _check_golden(key, digest):
