@@ -59,9 +59,6 @@ LAYER_RANKS: Dict[str, int] = {
     # transfers over the cluster network (hierarchy.py imports Network)
     "memory": 4,
     "pipeline": 5,
-    # the fused/batched execution engine wraps whole processors; it knows
-    # nothing of specs or sweeps (the batch *backend* lives in experiments)
-    "batch": 6,
     "core": 6,
     "multiprog": 6,
     "experiments": 7,

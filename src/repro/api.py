@@ -415,7 +415,6 @@ def sweep(
     *,
     backend: Union[str, object] = "auto",
     jobs: Optional[int] = None,
-    batch_size: Optional[int] = None,
     cache: bool = True,
     cache_dir=None,
     journal=None,
@@ -436,12 +435,9 @@ def sweep(
     :meth:`SweepResult.require_ok` to raise instead.
 
     ``backend`` picks the execution mechanism — ``"auto"`` (serial for
-    one job, a local process pool otherwise, batch when ``batch_size`` is
-    given), ``"serial"``, ``"process-pool"`` (``jobs`` worker processes),
-    or ``"batch"`` (``batch_size`` independent simulations advance in
-    lockstep per process through the fused cycle loop — see
-    ``docs/BATCHING.md``; composes with ``jobs`` for pool fan-out).
-    Every backend returns bit-identical records; see ``docs/SWEEPS.md``.
+    one job, a local process pool otherwise), ``"serial"``, or
+    ``"process-pool"`` (``jobs`` worker processes).  Both backends return
+    bit-identical records; see ``docs/SWEEPS.md``.
 
     ``trace`` names a directory to receive the sweep's observability
     artifacts: ``sweep_metrics.json`` (the extended metrics snapshot with
@@ -473,7 +469,6 @@ def sweep(
         SweepConfig(
             backend=backend,
             jobs=jobs,
-            batch_size=batch_size,
             cache_dir=cache_dir,
             use_cache=cache,
             timeout=timeout,

@@ -75,9 +75,7 @@ def _parse_benchmarks(spec: Optional[str]) -> Sequence[str]:
 _EPILOG = """\
 sweep execution flags (every exhibit command):
   --jobs N --no-cache --timeout SECONDS      parallelism and caching
-  --backend serial|process-pool|batch        how specs execute (auto)
-  --batch-size N                             lockstep simulations per process
-                                             (implies --backend batch)
+  --backend serial|process-pool              how specs execute (auto)
   --metrics-json PATH                        sweep metrics snapshot as JSON
   --journal PATH / --resume                  checkpoint + restart a killed sweep
   --trace DIR                                per-run timings + Perfetto trace
@@ -140,16 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the sweep "
                              "(default: REPRO_JOBS or cpu_count-1)")
         ex.add_argument("--backend", default="auto",
-                        choices=["auto", "serial", "process-pool", "batch"],
+                        choices=["auto", "serial", "process-pool"],
                         help="execution backend (default: auto — "
-                             "REPRO_SWEEP_BACKEND, else batch when a batch "
-                             "size is given, else serial/process-pool "
+                             "REPRO_SWEEP_BACKEND, else serial/process-pool "
                              "by job count)")
-        ex.add_argument("--batch-size", type=int, default=None,
-                        metavar="N", dest="batch_size",
-                        help="lockstep simulations per process for the "
-                             "batch backend (implies --backend batch; "
-                             "composes with --jobs)")
         ex.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache "
                              "(REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -254,7 +246,6 @@ def _cmd_exhibit(name: str, args: argparse.Namespace) -> int:
         SweepConfig(
             backend=args.backend,
             jobs=args.jobs,
-            batch_size=args.batch_size,
             use_cache=not args.no_cache,
             timeout=args.timeout,
             journal=_journal_path(name, args),

@@ -7,6 +7,11 @@ issue-queue imbalance exceeds an (empirically tuned) threshold.  With the
 decentralized cache, loads and stores are steered to the cluster predicted
 to cache their data.
 
+``ProducerSteering`` also carries an *owned* cluster mask — every cluster
+by default.  The multiprogrammed co-scheduler narrows it per thread with
+:meth:`ProducerSteering.set_owned`, so a thread dispatches only into the
+clusters it currently owns while the selection logic stays the paper's.
+
 ``ModNSteering`` and ``FirstFitSteering`` are the two reference policies of
 Baniasadi & Moshovos that the threshold mechanism approximates: Mod_N
 minimizes load imbalance, First_Fit minimizes communication.
@@ -14,7 +19,7 @@ minimizes load imbalance, First_Fit minimizes communication.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..workloads.instruction import Instr, OpClass
 from .cluster import _IS_FP, Cluster
@@ -59,7 +64,8 @@ class SteeringHeuristic:
 
 class ProducerSteering(SteeringHeuristic):
     """The paper's heuristic: producer-preference + criticality tiebreak +
-    load-imbalance threshold (+ bank preference for memory ops)."""
+    load-imbalance threshold (+ bank preference for memory ops), over the
+    owned clusters inside the active window."""
 
     def __init__(
         self,
@@ -70,6 +76,19 @@ class ProducerSteering(SteeringHeuristic):
         super().__init__(clusters)
         self.criticality = criticality or CriticalityPredictor()
         self.imbalance_threshold = imbalance_threshold
+        self.set_owned(range(len(clusters)))
+
+    def set_owned(self, owned: Iterable[int]) -> None:
+        """Restrict dispatch to the ``owned`` cluster ids.
+
+        Clusters leaving the mask drain their in-flight work naturally,
+        exactly like the processor's own prefix deactivation.
+        """
+        #: ascending cluster ids this heuristic may steer into
+        self.owned: Tuple[int, ...] = tuple(sorted(owned))
+        #: ``(id, cluster)`` pairs of :attr:`owned`, the feasibility walk
+        #: (the fused cycle loop walks the same pairs)
+        self._walk = tuple((k, self.clusters[k]) for k in self.owned)
 
     def _least_loaded(self, feasible: List[int]) -> int:
         return min(feasible, key=lambda k: (self.clusters[k].iq_occupancy, k))
@@ -81,18 +100,17 @@ class ProducerSteering(SteeringHeuristic):
         active: int,
         preferred: Optional[int] = None,
     ) -> Optional[int]:
-        # hottest function in the simulator (called per dispatch, probing
-        # every active cluster): capacity checks are inlined against the
-        # cluster occupancy counters instead of going through can_accept;
-        # steer_ok folds liveness + FU faults into one tuple lookup
+        # hot per-dispatch probe of every owned active cluster: capacity
+        # checks are inlined against the cluster occupancy counters
+        # instead of going through can_accept; steer_ok folds liveness +
+        # FU faults into one tuple lookup
         clusters = self.clusters
         needs_reg = instr.has_dest
         op = instr.op
         feasible: List[int] = []
         append = feasible.append
-        k = 0
         if _IS_FP[op]:
-            for c in clusters:
+            for k, c in self._walk:
                 if k >= active:
                     break
                 if (
@@ -101,9 +119,8 @@ class ProducerSteering(SteeringHeuristic):
                     and (not needs_reg or c._fp_regs < c._rf_cap)
                 ):
                     append(k)
-                k += 1
         else:
-            for c in clusters:
+            for k, c in self._walk:
                 if k >= active:
                     break
                 if (
@@ -112,7 +129,6 @@ class ProducerSteering(SteeringHeuristic):
                     and (not needs_reg or c._int_regs < c._rf_cap)
                 ):
                     append(k)
-                k += 1
         if not feasible:
             return None
 

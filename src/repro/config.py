@@ -73,7 +73,7 @@ ENV_SWITCHES = {
     "REPRO_JOBS": ("env_int", "default worker count for default_jobs()"),
     "REPRO_SWEEP_BACKEND": (
         "env_text",
-        "default execution backend (serial | process-pool | batch)",
+        "default execution backend (serial | process-pool)",
     ),
     "REPRO_TRACE_SCALE": ("env_float", "multiplies benchmark trace lengths"),
     "REPRO_BENCH_CACHE": ("env_flag", "let pytest benchmarks/ use the cache"),

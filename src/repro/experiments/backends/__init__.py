@@ -1,15 +1,13 @@
 """Pluggable execution backends for :class:`~repro.experiments.sweep.SweepRunner`.
 
-Three implementations of one protocol (:class:`~.base.ExecutionBackend`):
+Two implementations of one protocol (:class:`~.base.ExecutionBackend`):
 
 * :class:`~.serial.SerialBackend` — in-process, the determinism oracle;
 * :class:`~.pool.ProcessPoolBackend` — ``ProcessPoolExecutor`` fan-out
-  with solo-probe crash attribution, the one parallel backend;
-* :class:`~.batch.BatchBackend` — lockstep batches of simulations per
-  process through the fused cycle loop of :mod:`repro.batch`.
+  with solo-probe crash attribution, the one parallel backend.
 
-All three produce bit-identical results for the same specs; the
-conformance suite (``tests/experiments/test_backends.py``) proves it.
+Both produce bit-identical results for the same specs; the conformance
+suite (``tests/experiments/test_backends.py``) proves it.
 See ``docs/SWEEPS.md`` for the user-facing story.
 """
 
@@ -19,12 +17,11 @@ from typing import Optional
 
 from ...errors import BackendError
 from .base import BackendEventLog, Completion, ExecutionBackend
-from .batch import DEFAULT_BATCH_SIZE, BatchBackend
 from .pool import ProcessPoolBackend
 from .serial import SerialBackend
 
 #: the spellings ``SweepConfig.backend`` accepts (besides ``"auto"``)
-BACKEND_KINDS = ("serial", "process-pool", "batch")
+BACKEND_KINDS = ("serial", "process-pool")
 
 
 def create_backend(
@@ -32,19 +29,12 @@ def create_backend(
     *,
     jobs: int = 1,
     timeout: Optional[float] = None,
-    batch_size: Optional[int] = None,
 ) -> ExecutionBackend:
     """Build a backend by name (the ``SweepConfig.backend`` vocabulary)."""
     if kind == "serial":
         return SerialBackend(timeout=timeout)
     if kind == "process-pool":
         return ProcessPoolBackend(jobs, timeout=timeout)
-    if kind == "batch":
-        return BatchBackend(
-            batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE,
-            jobs=jobs,
-            timeout=timeout,
-        )
     raise BackendError(
         f"unknown execution backend {kind!r}; choose from "
         f"{('auto',) + BACKEND_KINDS}"
@@ -55,7 +45,6 @@ __all__ = [
     "BACKEND_KINDS",
     "BackendError",
     "BackendEventLog",
-    "BatchBackend",
     "Completion",
     "ExecutionBackend",
     "ProcessPoolBackend",

@@ -6,9 +6,8 @@ The sweep engine separates *policy* from *mechanism*:
   crash counting and quarantine, SIGINT/SIGTERM draining, metrics.
 * An :class:`ExecutionBackend` owns mechanism — it takes ``(index, spec)``
   submissions and hands back :class:`Completion` objects, however it
-  likes: inline (:class:`~.serial.SerialBackend`), across a process pool
-  (:class:`~.pool.ProcessPoolBackend`), or in lockstep batches
-  (:class:`~.batch.BatchBackend`).
+  likes: inline (:class:`~.serial.SerialBackend`) or across a process
+  pool (:class:`~.pool.ProcessPoolBackend`).
 
 The contract that keeps every backend bit-identical to the serial oracle:
 

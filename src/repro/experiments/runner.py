@@ -95,8 +95,7 @@ def run_trace(
     warmup = min(warmup, max(0, len(trace) - 1000))
     if max_instructions is not None:
         warmup = min(warmup, max_instructions)
-    while not processor.finished and processor.stats.committed < warmup:
-        processor.step()
+    processor.advance(warmup)
     cycles0 = processor.cycle
     committed0 = processor.stats.committed
     mispredicts0 = processor.stats.mispredicts

@@ -18,9 +18,9 @@ harness) fan out on:
   knob (backend, parallelism, cache, timeout/retry, journal, tracing).
 * :class:`SweepRunner` — fans specs out across a pluggable
   :class:`~repro.experiments.backends.ExecutionBackend` (in-process
-  serial, local process pool, or lockstep batches) with per-run timeout
-  and retry, records structured failures instead of crashing the sweep,
-  and exposes progress/latency/utilization metrics.
+  serial or a local process pool) with per-run timeout and retry,
+  records structured failures instead of crashing the sweep, and exposes
+  progress/latency/utilization metrics.
 
 Determinism is the design constraint: every backend must produce
 the same :class:`~repro.stats.SimStats` as ``SweepConfig(jobs=1)`` and as
@@ -84,7 +84,7 @@ from ..core import (
     SubroutineController,
 )
 from ..multiprog import MultiProgResult, MultiProgSpec, run_multiprog
-from ..multiprog.scheduler import fabric_config
+from ..multiprog.scheduler import fabric_config, thread_seed
 from ..resilience import FaultSchedule
 from ..stats import IntervalRecord
 from ..workloads.generator import generate_trace
@@ -269,7 +269,7 @@ CACHE_KEY_EXEMPT: Dict[str, Tuple[str, ...]] = {
     # bit-identical records (the conformance suite proves it), so none of
     # the runner knobs may ever influence a cached result
     "SweepConfig": (
-        "backend", "jobs", "batch_size", "cache_dir", "use_cache",
+        "backend", "jobs", "cache_dir", "use_cache",
         "timeout", "retries", "retry_backoff", "journal", "resume",
         "poison_threshold", "trace_dir",
     ),
@@ -349,7 +349,8 @@ class RunRecord:
 # worker side
 
 
-#: per-worker-process trace memo; traces are large, so keep only a few
+#: per-worker-process trace memo, shared by single-thread runs and the
+#: threads of multiprogrammed runs; traces are large, so keep only a few
 _TRACE_MEMO: Dict[Tuple[str, int, int], object] = {}
 _TRACE_MEMO_LIMIT = 8
 
@@ -394,7 +395,12 @@ def multiprog_run_spec(spec: MultiProgSpec) -> RunSpec:
 def _run_multiprog_spec(spec: RunSpec) -> RunRecord:
     """Worker-side execution of a multiprogrammed spec."""
     start = time.perf_counter()
-    mp = run_multiprog(spec.multiprog)
+    mp_spec = spec.multiprog
+    traces = [
+        _trace_for(workload, mp_spec.trace_length, thread_seed(mp_spec.seed, i))
+        for i, workload in enumerate(mp_spec.workloads)
+    ]
+    mp = run_multiprog(mp_spec, traces=traces)
     stats = mp.stats
     # aggregate view: throughput over *global* cycles; "reconfigurations"
     # counts arbiter actions, the multiprog analogue of cluster changes
@@ -736,12 +742,8 @@ class SweepConfig:
     ``backend`` selects the execution mechanism:
 
     * ``"auto"`` (default) — ``REPRO_SWEEP_BACKEND`` if set; else
-      ``"batch"`` when ``batch_size`` is given; else ``"serial"`` for
-      ``jobs <= 1`` and ``"process-pool"`` otherwise.
-    * ``"serial"`` / ``"process-pool"`` / ``"batch"`` — explicit.
-      ``"batch"`` runs ``batch_size`` simulations per process in
-      lockstep (``docs/BATCHING.md``) and composes with ``jobs > 1`` as a
-      pool whose tasks are full batches.
+      ``"serial"`` for ``jobs <= 1`` and ``"process-pool"`` otherwise.
+    * ``"serial"`` / ``"process-pool"`` — explicit.
     * an :class:`~repro.experiments.backends.ExecutionBackend` instance —
       escape hatch for tests and custom executors (single-use).
 
@@ -750,7 +752,6 @@ class SweepConfig:
 
     backend: Union[str, object] = "auto"
     jobs: Optional[int] = None
-    batch_size: Optional[int] = None
     cache_dir: Optional[os.PathLike] = None
     use_cache: bool = True
     timeout: Optional[float] = None
@@ -781,10 +782,6 @@ class SweepConfig:
             )
         if self.jobs is not None and int(self.jobs) < 0:
             raise ConfigError(f"jobs must be >= 0, got {self.jobs!r}")
-        if self.batch_size is not None and int(self.batch_size) < 1:
-            raise ConfigError(
-                f"batch_size must be >= 1, got {self.batch_size!r}"
-            )
         if self.timeout is not None and not float(self.timeout) > 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout!r}")
         if int(self.retries) < 0:
@@ -809,8 +806,6 @@ class SweepConfig:
         env = env_text(BACKEND_ENV)
         if env:
             return env
-        if self.batch_size is not None:
-            return "batch"
         return "serial" if self.resolved_jobs() <= 1 else "process-pool"
 
 
@@ -821,9 +816,8 @@ class SweepRunner:
     backoff, crash counting and quarantine, signal draining, metrics —
     and delegates *mechanism* (actually running specs) to an
     :class:`~repro.experiments.backends.ExecutionBackend` chosen by
-    ``config.backend``: in-process serial (the determinism oracle), a
-    local process pool, or lockstep batches.  All of them yield
-    bit-identical records.
+    ``config.backend``: in-process serial (the determinism oracle) or a
+    local process pool.  Both yield bit-identical records.
 
     Construct with a single :class:`SweepConfig`::
 
@@ -881,12 +875,7 @@ class SweepRunner:
         resolved = self.config.resolved_backend()
         if isinstance(resolved, ExecutionBackend) or not isinstance(resolved, str):
             return resolved
-        backend = create_backend(
-            resolved,
-            jobs=self.jobs,
-            timeout=self.timeout,
-            batch_size=self.config.batch_size,
-        )
+        backend = create_backend(resolved, jobs=self.jobs, timeout=self.timeout)
         # align backend lifecycle timestamps with the sweep's span clock
         log = getattr(backend, "_log", None)
         if log is not None:

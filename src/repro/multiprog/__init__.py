@@ -2,7 +2,7 @@
 
 The paper's future-work section asks what happens when *multiple* threads
 share the 16 clusters.  This package co-schedules 2-4 synthetic workloads
-in lockstep, with cluster ownership managed by a pluggable
+on one global clock, with cluster ownership managed by a pluggable
 **cluster-allocation arbiter** (see :mod:`~repro.multiprog.arbiters`):
 
 * ``static`` — equal contiguous partition, never rebalanced;
@@ -13,10 +13,10 @@ in lockstep, with cluster ownership managed by a pluggable
   spirit of communication-aware supercomputer allocation).
 
 Each thread is a full :class:`~repro.pipeline.processor.ClusteredProcessor`
-over the shared physical fabric; ownership is enforced at dispatch by
-:class:`~repro.multiprog.steering.MaskedSteering`, so a thread's placement
-on the fabric (hop distances to the home cluster and between its own
-clusters) is what the arbiters compete on.  Arbiter decisions are emitted
+over the shared physical fabric; ownership is enforced at dispatch by the
+``owned`` mask of :class:`~repro.clusters.steering.ProducerSteering`, so a
+thread's placement on the fabric (hop distances to the home cluster and
+between its own clusters) is what the arbiters compete on.  Arbiter decisions are emitted
 as ``arb_grant``/``arb_reclaim`` trace events, and every arbiter x
 topology combination must pass the conformance suite in
 ``tests/multiprog/`` before registration is considered valid.
@@ -36,14 +36,12 @@ from .arbiters import (
 from .ledger import ClusterLedger
 from .scheduler import run_multiprog, thread_seed
 from .spec import FABRICS, MultiProgResult, MultiProgSpec, ThreadResult
-from .steering import MaskedSteering
 
 __all__ = [
     "ARBITERS",
     "Arbiter",
     "ClusterLedger",
     "FABRICS",
-    "MaskedSteering",
     "MultiProgResult",
     "MultiProgSpec",
     "ThreadResult",

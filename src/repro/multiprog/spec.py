@@ -17,7 +17,7 @@ FABRICS: Tuple[str, ...] = ("ring", "grid", "torus", "ring-of-rings")
 MAX_THREADS = 4
 
 #: default per-thread trace length (shorter than the single-thread default:
-#: a multiprog run steps one processor per thread per cycle)
+#: a multiprog run simulates one processor per thread)
 DEFAULT_TRACE_LENGTH = 20_000
 
 

@@ -1,8 +1,8 @@
 """Drives a processor through a :class:`FaultSchedule`.
 
 The manager is owned by :class:`~repro.pipeline.processor.ClusteredProcessor`
-and polled from the top of ``step()`` with a single integer compare per
-cycle (the same next-event pattern the tracer sampling uses), so a run
+and polled at the top of every simulated cycle with a single integer
+compare (the same next-event pattern the tracer sampling uses), so a run
 without a schedule pays one comparison and is bit-identical to a build
 without this module.
 
