@@ -68,76 +68,6 @@ def _bench_decentralized() -> Tuple[float, float]:
 
 
 # ----------------------------------------------------------------------
-# macro: the lockstep batch engine vs the serial backend on the same
-# communication-bound spec set.  Narrow static machines (1-2 clusters)
-# spend most of their wall time in per-instruction work the fused core
-# flattens, so this is where batching pays; `batch_sweep_serial` is the
-# denominator that makes the speedup auditable from the committed JSON.
-
-BATCH_SWEEP_LENGTH = 6_000
-BATCH_SWEEP_WARMUP = 1_000
-#: (profile, static cluster count) — Figure 3's left edge
-BATCH_SWEEP_CASES = (("vpr", 1), ("vpr", 2), ("parser", 1), ("crafty", 1))
-
-
-def _batch_sweep_specs():
-    from repro.experiments.sweep import ControllerSpec, RunSpec
-
-    return [
-        RunSpec(
-            profile,
-            BATCH_SWEEP_LENGTH,
-            controller=ControllerSpec.static(clusters),
-            warmup=BATCH_SWEEP_WARMUP,
-            label=f"{profile}-static{clusters}",
-        )
-        for profile, clusters in BATCH_SWEEP_CASES
-    ]
-
-
-def _drive_backend(kind: str, **kwargs) -> Tuple[float, float]:
-    """Measured-window cycles/sec pushing the spec set through a backend."""
-    from repro.experiments.backends import create_backend
-    from repro.experiments.sweep import _trace_for
-
-    specs = _batch_sweep_specs()
-    # pregenerate (memoized) traces so the first repeat is not charged
-    # for trace synthesis — the metric is simulator throughput
-    for spec in specs:
-        _trace_for(spec.profile, spec.trace_length, spec.seed)
-    backend = create_backend(kind, **kwargs)
-    backend.start()
-    try:
-        t0 = time.perf_counter()
-        for i, spec in enumerate(specs):
-            backend.submit(i, spec)
-        cycles = 0
-        while True:
-            completions = backend.drain()
-            if not completions:
-                break
-            for done in completions:
-                record = done.record
-                if record is None or not record.ok:
-                    raise RuntimeError(f"batch_sweep spec failed: {record}")
-                cycles += record.result.cycles
-        seconds = time.perf_counter() - t0
-    finally:
-        backend.close()
-    return float(cycles), seconds
-
-
-def _bench_batch_sweep() -> Tuple[float, float]:
-    """Cycles/sec through the lockstep batch backend (one process)."""
-    return _drive_backend("batch", batch_size=len(BATCH_SWEEP_CASES))
-
-
-def _bench_batch_sweep_serial() -> Tuple[float, float]:
-    """Cycles/sec through the serial backend on the identical spec set."""
-    return _drive_backend("serial")
-
-
-# ----------------------------------------------------------------------
 # micro: steering
 
 
@@ -229,9 +159,6 @@ def build_suite() -> List[Benchmark]:
         Benchmark("fig3_static16", "macro", "cycles/sec", _bench_fig3_static16),
         Benchmark("dynamic_explore", "macro", "cycles/sec", _bench_dynamic_explore),
         Benchmark("decentralized_cache", "macro", "cycles/sec", _bench_decentralized),
-        Benchmark("batch_sweep", "macro", "cycles/sec", _bench_batch_sweep),
-        Benchmark("batch_sweep_serial", "macro", "cycles/sec",
-                  _bench_batch_sweep_serial, repeats=3),
         Benchmark("steering_choose", "micro", "ops/sec", _bench_steering_choose),
         Benchmark("network_transfer", "micro", "ops/sec", _bench_network_transfer),
         Benchmark("lsq_probe", "micro", "ops/sec", _bench_lsq_probe),

@@ -7,8 +7,7 @@ output over the table ::
     PYTHONPATH=src python benchmarks/perf/table.py
 
 The derived ``vs baseline`` column is only present for metrics the seed
-commit had a measurement for (the batch benches did not exist then;
-their reference point is ``batch_sweep_serial`` in the same file).
+commit had a measurement for.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Backend conformance suite.
 
-One spec matrix, three execution backends, bit-identical records — the
+One spec matrix, both execution backends, bit-identical records — the
 contract that makes the backend a pure mechanism choice.  Plus the
 runner policy every backend inherits: crash quarantine followed by a
 journal resume, and backend lifecycle telemetry.
@@ -13,7 +13,7 @@ import pytest
 
 from repro import faults
 from repro.config import default_config
-from repro.errors import BackendError
+from repro.errors import BackendError, ConfigError
 from repro.experiments.backends import BACKEND_KINDS, create_backend
 from repro.experiments.sweep import (
     ControllerSpec,
@@ -78,8 +78,6 @@ def config_for(kind, **kw):
     """A SweepConfig that forces one concrete backend."""
     if kind == "process-pool":
         kw.setdefault("jobs", 2)
-    elif kind == "batch":
-        kw.setdefault("batch_size", 4)
     return SweepConfig(backend=kind, use_cache=kw.pop("use_cache", False), **kw)
 
 
@@ -91,7 +89,7 @@ class TestConformance:
         """The serial oracle over the full 20-spec matrix."""
         return SweepRunner(config_for("serial")).run(matrix_specs())
 
-    @pytest.mark.parametrize("kind", ["process-pool", "batch"])
+    @pytest.mark.parametrize("kind", ["process-pool"])
     def test_matrix_bit_identical_to_serial(self, kind, reference):
         records = SweepRunner(config_for(kind)).run(matrix_specs())
         assert [r.status for r in records] == ["ok"] * len(records)
@@ -99,16 +97,6 @@ class TestConformance:
         assert [r.spec.label for r in records] == [
             r.spec.label for r in reference
         ]
-        assert [r.events for r in records] == [r.events for r in reference]
-
-    def test_pool_of_batches_bit_identical_to_serial(self, reference):
-        """--batch-size composed with --jobs: every worker process runs a
-        full lockstep batch; the bits still match the serial oracle."""
-        records = SweepRunner(
-            config_for("batch", jobs=2, batch_size=3)
-        ).run(matrix_specs())
-        assert [r.status for r in records] == ["ok"] * len(records)
-        assert snapshot(records) == snapshot(reference)
         assert [r.events for r in records] == [r.events for r in reference]
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
@@ -152,13 +140,13 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
         assert SweepConfig(jobs=8).resolved_backend() == "serial"
 
-    def test_batch_size_implies_batch_backend(self):
-        assert SweepConfig(batch_size=4).resolved_backend() == "batch"
-        assert SweepConfig(batch_size=4, jobs=4).resolved_backend() == "batch"
-
-    def test_batch_size_validated(self):
-        with pytest.raises(Exception):
-            SweepConfig(batch_size=0)
+    def test_batch_backend_retired(self):
+        """The lockstep batch backend is gone: naming it fails up front,
+        listing the backends that remain."""
+        with pytest.raises(ConfigError, match="'serial', 'process-pool'"):
+            SweepConfig(backend="batch")
+        with pytest.raises(BackendError, match="unknown execution backend"):
+            create_backend("batch")
 
     def test_backend_instance_escape_hatch(self):
         backend = create_backend("serial")

@@ -390,6 +390,5 @@ class TestSweepConfig:
         monkeypatch.delenv("REPRO_SWEEP_BACKEND", raising=False)
         assert SweepConfig(jobs=1).resolved_backend() == "serial"
         assert SweepConfig(jobs=4).resolved_backend() == "process-pool"
-        assert SweepConfig(batch_size=2).resolved_backend() == "batch"
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
         assert SweepConfig(jobs=4).resolved_backend() == "serial"

@@ -1,12 +1,14 @@
-"""Event-driven issue must be bit-identical to the naive reference scan.
+"""The fused cycle loop must be bit-identical to the naive reference loop.
 
-The optimized select loop (`_issue_event`) skips clusters until their
-`wake_cycle`; the pre-optimization full scan survives as
-``ClusteredProcessor(..., naive_issue=True)`` precisely so this property can
-be checked forever: for ANY workload shape, machine topology, cluster
-count, controller, and wrong-path setting, the two paths must produce
-byte-for-byte identical statistics.  A single missed wakeup shows up here
-as a cycle-count divergence.
+The production loop (:class:`~repro.pipeline.fused.FusedCore`) inlines the
+stages, selects event-driven (skipping clusters until their `wake_cycle`)
+and jumps over idle cycles; the stage-by-stage loop with a full select
+scan survives as ``ClusteredProcessor(..., naive_issue=True)`` precisely so
+this property can be checked forever: for ANY workload shape, machine
+topology, cluster count, controller, and wrong-path setting, the two
+loops must produce byte-for-byte identical statistics.  A single missed
+wakeup or an over-long idle skip shows up here as a cycle-count
+divergence.
 
 The exhaustive 200-example sweep is `slow` (it runs in the CI slow job);
 a small smoke sample rides in the fast tier.
@@ -59,13 +61,13 @@ def _check_equivalence(body, cross, frac_load, branches, seed,
             config,
             front_end=dataclasses.replace(config.front_end, model_wrong_path=True),
         )
-    event = ClusteredProcessor(
+    fused = ClusteredProcessor(
         trace, config, _build_controller(controller_kind)
     ).run()
     naive = ClusteredProcessor(
         trace, config, _build_controller(controller_kind), naive_issue=True
     ).run()
-    assert event == naive  # SimStats is a dataclass: field-wise equality
+    assert fused == naive  # SimStats is a dataclass: field-wise equality
 
 
 _equivalence_inputs = given(

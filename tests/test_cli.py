@@ -159,8 +159,7 @@ class TestHelpText:
         out = capsys.readouterr().out
         assert "python -m repro.analysis" in out
         for flag in ("--jobs", "--no-cache", "--timeout", "--metrics-json",
-                     "--journal", "--resume", "--trace", "--backend",
-                     "--batch-size"):
+                     "--journal", "--resume", "--trace", "--backend"):
             assert flag in out, f"top-level help must mention {flag}"
         for doc in ("docs/SWEEPS.md", "docs/OBSERVABILITY.md",
                     "docs/ANALYSIS.md", "docs/ARCHITECTURE.md"):

@@ -24,7 +24,7 @@ RETIRED = [
         re.compile(
             r"SweepRunner\(\s*(jobs|use_cache|cache_dir|timeout|retries"
             r"|retry_backoff|poison_threshold|journal|resume|trace_dir"
-            r"|backend|batch_size)\s*="
+            r"|backend)\s*="
         ),
         "SweepRunner(SweepConfig(...))",
     ),
@@ -35,6 +35,21 @@ RETIRED = [
             r"|backend\s*=\s*[\"']distributed[\"']|--backend[ =]distributed"
         ),
         'backend="process-pool", jobs=N (CLI --jobs N)',
+    ),
+    (
+        "lockstep batch backend",
+        re.compile(
+            r"\bbatch_size\s*=|--batch-size\b"
+            r"|backend\s*=\s*[\"']batch[\"']|--backend[ =]batch\b"
+            r"|\bBatchEngine\b|\bBatchBackend\b|\brepro\.batch\b"
+        ),
+        "the fused loop runs every simulation; backend=\"serial\" or "
+        "\"process-pool\"",
+    ),
+    (
+        "MaskedSteering",
+        re.compile(r"\bMaskedSteering\b"),
+        "ProducerSteering.set_owned(...)",
     ),
     (
         "positional simulate(trace, config)",
@@ -140,6 +155,8 @@ def test_lint_catches_retired_spellings():
     bad = {
         "SweepRunner legacy kwargs": "runner = SweepRunner(jobs=4, use_cache=False)",
         "distributed backend": 'sweep(specs, backend="distributed")',
+        "lockstep batch backend": "python -m repro figure5 --batch-size 8",
+        "MaskedSteering": "from repro.multiprog import MaskedSteering",
         "positional simulate(trace, config)": "simulate(trace, default_config(16))",
         "positional run_trace controller-plus-warmup": (
             "run_trace(trace, config, controller, 4000)"
