@@ -7,15 +7,21 @@ simulation would have produced.
 """
 
 import dataclasses
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.config import decentralized_config, default_config
 from repro.core import ExploreConfig, NoExploreConfig, StaticController
 from repro.experiments.runner import TraceCache, run_trace
 from repro.experiments.sweep import (
+    CACHE_KEY_EXEMPT,
     ControllerSpec,
     ResultCache,
     RunRecord,
@@ -28,7 +34,10 @@ from repro.experiments.sweep import (
 )
 from repro.stats import SimStats
 
+from ..specs import MULTIPROG, RUN_SPEC
+
 LEN = 3_000
+SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 
 def spec_for(profile="gzip", scheme=None, length=LEN, **kw):
@@ -71,37 +80,62 @@ class TestControllerSpec:
         assert hash(spec) == hash(pickle.loads(pickle.dumps(spec)))
 
 
+#: one alternative value per keyed RunSpec field; each differs from the
+#: populated spec's value, so each change must move the cache key
+KEY_CHANGES = {
+    "profile": "swim",
+    "trace_length": RUN_SPEC.trace_length + 1,
+    "seed": RUN_SPEC.seed + 1,
+    "config": decentralized_config(16),
+    "controller": ControllerSpec.no_explore(),
+    "warmup": RUN_SPEC.warmup + 1,
+    "steering": ("first-fit",),
+    "record_granularity": None,
+    "max_instructions": None,
+    "multiprog": dataclasses.replace(MULTIPROG, faults=None),
+    "faults": None,
+}
+
+_CHILD_KEY = "import pickle, sys; print(pickle.load(sys.stdin.buffer).cache_key())"
+
+
 class TestCacheKey:
-    def test_stable_across_processes(self):
-        a = spec_for()
-        b = spec_for()
-        assert a.cache_key() == b.cache_key()
+    def test_table_covers_every_keyed_field(self):
+        keyed = {f.name for f in dataclasses.fields(RunSpec)}
+        assert set(KEY_CHANGES) == keyed - set(CACHE_KEY_EXEMPT["RunSpec"])
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"profile": "swim"},
-            {"seed": 8},
-            {"length": LEN + 1},
-            {"warmup": 123},
-            {"scheme": ControllerSpec.static(8)},
-            {"scheme": ControllerSpec.explore()},
-            {"steering": ("mod-n", 3)},
-            {"record_granularity": 500},
-        ],
-    )
-    def test_any_input_changes_the_key(self, change):
-        assert spec_for().cache_key() != spec_for(**change).cache_key()
-
-    def test_config_changes_the_key(self):
-        base = spec_for()
-        other = dataclasses.replace(base, config=decentralized_config(16))
-        assert base.cache_key() != other.cache_key()
+    @pytest.mark.parametrize("name", sorted(KEY_CHANGES))
+    def test_any_input_changes_the_key(self, name):
+        changed = dataclasses.replace(RUN_SPEC, **{name: KEY_CHANGES[name]})
+        assert changed.cache_key() != RUN_SPEC.cache_key()
 
     def test_label_does_not_change_the_key(self):
-        base = spec_for()
-        relabelled = dataclasses.replace(base, label="other-exhibit")
-        assert base.cache_key() == relabelled.cache_key()
+        relabelled = dataclasses.replace(
+            RUN_SPEC,
+            label="other-exhibit",
+            multiprog=dataclasses.replace(MULTIPROG, label="other-mix"),
+        )
+        assert relabelled.cache_key() == RUN_SPEC.cache_key()
+
+    def test_sweep_config_never_reaches_the_key(self):
+        names = {f.name for f in dataclasses.fields(SweepConfig)}
+        assert names == set(CACHE_KEY_EXEMPT["SweepConfig"])
+
+    def test_stable_across_processes(self):
+        """Two fresh interpreters with different hash seeds compute the
+        parent's key: no memory address or set order reaches the key."""
+        for hashseed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run(
+                [sys.executable, "-c", _CHILD_KEY],
+                input=pickle.dumps(RUN_SPEC),
+                env=env,
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
+            assert proc.stdout.decode().strip() == RUN_SPEC.cache_key(), hashseed
 
 
 class TestSerialRunner:

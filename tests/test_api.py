@@ -1,16 +1,20 @@
 """The stable facade (`repro.api`) and the entry-point deprecation shims."""
 
 import dataclasses
+import threading
 
 import pytest
 
 from repro.api import SimResult, SimSpec, simulate, sweep
+from repro.config import default_config
 from repro.core import StaticController
 from repro.errors import ConfigError
 from repro.experiments.runner import run_trace
 from repro.experiments.sweep import ControllerSpec
 from repro.pipeline.processor import ClusteredProcessor
 from repro.pipeline.processor import simulate as engine_simulate
+
+from .specs import SIM_SPEC
 
 
 class TestSimulateFacade:
@@ -57,6 +61,50 @@ class TestSimulateFacade:
         facade = simulate(parallel_trace, processor=config16)
         engine = engine_simulate(parallel_trace, config16)
         assert facade.stats == engine
+
+
+#: one alternative value per SimSpec field; each differs from the
+#: populated spec's value, so each change must reach the RunSpec
+SPEC_CHANGES = {
+    "workload": "swim",
+    "max_instructions": None,
+    "seed": SIM_SPEC.seed + 1,
+    "topology": "torus",
+    "reconfig_policy": "no-explore",
+    "clusters": 4,
+    "trace_length": SIM_SPEC.trace_length + 1,
+    "warmup": SIM_SPEC.warmup + 1,
+    "processor": default_config(4),
+    "steering": ("first-fit",),
+    "faults": None,
+    "label": "other",
+}
+
+
+class TestToRunSpec:
+    def test_table_covers_every_field(self):
+        assert set(SPEC_CHANGES) == {f.name for f in dataclasses.fields(SimSpec)}
+
+    @pytest.mark.parametrize("name", sorted(SPEC_CHANGES))
+    def test_every_field_reaches_the_run_spec(self, name):
+        changed = dataclasses.replace(SIM_SPEC, **{name: SPEC_CHANGES[name]})
+        assert changed.to_run_spec() != SIM_SPEC.to_run_spec()
+
+
+class TestNoStrayThreads:
+    """The simulator is single-threaded and sweep parallelism comes from
+    worker processes, so neither entry point may leave a thread behind."""
+
+    def test_simulate_starts_no_thread(self, parallel_trace):
+        before = set(threading.enumerate())
+        simulate(parallel_trace, reconfig_policy="explore")
+        assert set(threading.enumerate()) - before == set()
+
+    def test_serial_sweep_starts_no_thread(self, tmp_path):
+        before = set(threading.enumerate())
+        sweep([SimSpec(workload="gzip", trace_length=2_000)],
+              backend="serial", cache_dir=tmp_path).require_ok()
+        assert set(threading.enumerate()) - before == set()
 
 
 class TestSweepFacade:

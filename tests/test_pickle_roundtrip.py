@@ -7,6 +7,7 @@ parallel path with an opaque ``PicklingError`` — so every participating
 type gets an explicit round-trip test here.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -23,6 +24,8 @@ from repro.experiments.timeline import Reconfiguration, TimelineRecorder
 from repro.stats import SimStats
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import get_profile
+
+from .specs import RUN_SPEC
 
 LEN = 2_000
 
@@ -109,19 +112,33 @@ class TestResults:
         assert roundtrip(event) == event
 
 
+def dataclass_values(obj):
+    """``obj`` and every dataclass instance reachable through its fields."""
+    if dataclasses.is_dataclass(obj):
+        yield obj
+        for f in dataclasses.fields(obj):
+            yield from dataclass_values(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from dataclass_values(item)
+
+
 class TestSweepTypes:
     def test_run_spec_roundtrip(self):
-        spec = RunSpec(
-            profile="gzip",
-            trace_length=LEN,
-            config=default_config(16),
-            controller=ControllerSpec.no_explore(),
-            steering=("mod-n", 3),
-            label="pkl",
-        )
-        clone = roundtrip(spec)
-        assert clone == spec
-        assert clone.cache_key() == spec.cache_key()
+        clone = roundtrip(RUN_SPEC)
+        assert clone == RUN_SPEC
+        assert clone.cache_key() == RUN_SPEC.cache_key()
+
+    def test_run_spec_values_are_frozen(self):
+        """A spec is a value: every dataclass inside it is frozen, so a
+        worker or cache reader can never see one mutated in flight."""
+        values = list(dataclass_values(RUN_SPEC))
+        kinds = {type(v).__name__ for v in values}
+        assert {"RunSpec", "MultiProgSpec", "FaultEvent", "ExploreConfig"} <= kinds
+        for value in values:
+            name = dataclasses.fields(value)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
 
     def test_run_record_roundtrip(self):
         spec = RunSpec(
