@@ -1,7 +1,6 @@
 """``python -m repro.analysis`` — the lint front end.
 
-Exit codes: 0 clean (or everything baselined/suppressed), 1 new findings,
-2 usage or internal error.
+Exit codes: 0 clean (or everything suppressed), 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,17 +12,8 @@ import sys
 from collections import Counter
 from typing import List, Optional
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    split_by_baseline,
-    stale_entries,
-    write_baseline,
-)
-from .gitdiff import GitError, changed_python_files, resolve_default_base
 from .registry import all_rules
 from .runner import analyze_paths
-from .sarif import to_sarif
 
 _DEFAULT_PATHS = ("src", "benchmarks", "examples")
 
@@ -33,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Static analysis enforcing the reproduction's determinism (D), "
-            "layering (L), and stats-conservation (S) invariants."
+            "layering (L), and facade-vocabulary (S) invariants."
         ),
     )
     parser.add_argument(
@@ -42,19 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
              f"{' '.join(_DEFAULT_PATHS)}, those that exist)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default: text; sarif for code-scanning upload)",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="lint only .py files changed vs --base (committed, staged, "
-             "and untracked), intersected with the analysed paths; "
-             "project-scope rules only fire if their anchor module changed",
-    )
-    parser.add_argument(
-        "--base", default=None, metavar="REF",
-        help="git ref --changed diffs against (default: origin/main when "
-             "it resolves, else main)",
+        "--format", choices=("text", "json"), default="text",
+        help="output format (default: text)",
     )
     parser.add_argument(
         "--select", action="append", default=[], metavar="RULES",
@@ -64,19 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ignore", action="append", default=[], metavar="RULES",
         help="comma-separated rule ids or family prefixes to skip",
-    )
-    parser.add_argument(
-        "--baseline", type=pathlib.Path, default=None, metavar="FILE",
-        help=f"baseline file to subtract (default: ./{DEFAULT_BASELINE_NAME} "
-             f"when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--root", type=pathlib.Path, default=None,
@@ -107,27 +73,6 @@ def _resolve_paths(args_paths: List[str]) -> List[pathlib.Path]:
     return [pathlib.Path(p) for p in _DEFAULT_PATHS if pathlib.Path(p).exists()]
 
 
-def _changed_subset(
-    paths: List[pathlib.Path], base: Optional[str]
-) -> List[pathlib.Path]:
-    """The changed .py files that live under the requested ``paths``.
-
-    An empty result is not an error: the run proceeds with zero files and
-    exits 0, which is exactly the fast no-op a docs-only PR wants.
-    """
-    if base is None:
-        base = resolve_default_base()
-    roots = [p.resolve() for p in paths]
-    subset: List[pathlib.Path] = []
-    for changed in changed_python_files(base=base):
-        resolved = changed.resolve()
-        for root in roots:
-            if resolved == root or root in resolved.parents:
-                subset.append(changed)
-                break
-    return subset
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -144,83 +89,40 @@ def main(argv: Optional[List[str]] = None) -> int:
     if missing:
         parser.error(f"no such path: {', '.join(map(str, missing))}")
 
-    if args.base is not None and not args.changed:
-        parser.error("--base only makes sense with --changed")
-    focus = None
-    if args.changed:
-        try:
-            focus = _changed_subset(paths, args.base)
-        except GitError as exc:
-            print(f"error: --changed: {exc}", file=sys.stderr)
-            return 2
-
     result = analyze_paths(
         paths,
         root=args.root,
         select=_split_csv(args.select),
         ignore=_split_csv(args.ignore),
-        focus=focus,
     )
+    findings = result.findings
 
-    baseline_path = args.baseline or pathlib.Path(DEFAULT_BASELINE_NAME)
-    if args.write_baseline:
-        write_baseline(baseline_path, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baseline = Counter()
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: bad baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-
-    new, baselined = split_by_baseline(result.findings, baseline)
-    stale = stale_entries(result.findings, baseline)
-
-    if args.format == "sarif":
-        print(json.dumps(to_sarif(new), indent=2))
-    elif args.format == "json":
+    if args.format == "json":
         payload = {
             "version": 1,
             "files_scanned": result.files_scanned,
-            "findings": [f.to_json() for f in new],
-            "baselined": len(baselined),
+            "findings": [f.to_json() for f in findings],
             "suppressed": [f.to_json() for f in result.suppressed],
-            "stale_baseline_entries": [
-                {"rule": rule, "path": path, "message": message, "count": count}
-                for (rule, path, message), count in sorted(stale.items())
-            ],
-            "counts": dict(Counter(f.rule for f in new)),
-            "ok": not new,
+            "counts": dict(Counter(f.rule for f in findings)),
+            "ok": not findings,
         }
         print(json.dumps(payload, indent=2))
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render())
         if args.show_suppressed and result.suppressed:
             print(f"-- {len(result.suppressed)} suppressed:")
             for finding in result.suppressed:
                 print(f"   {finding.render()}")
-        for (rule, path, message), count in sorted(stale.items()):
-            print(
-                f"note: stale baseline entry ({count}x) no longer found: "
-                f"{rule} {path}: {message}"
-            )
         summary = (
-            f"{result.files_scanned} file(s) scanned, {len(new)} finding(s)"
+            f"{result.files_scanned} file(s) scanned, "
+            f"{len(findings)} finding(s)"
         )
-        if baselined:
-            summary += f", {len(baselined)} baselined"
         if result.suppressed:
             summary += f", {len(result.suppressed)} suppressed"
         print(summary)
 
-    return 1 if new else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

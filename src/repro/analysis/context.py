@@ -55,8 +55,6 @@ class ImportEdge:
     target: str  #: absolute dotted module/attribute path imported
     lineno: int
     col: int
-    #: local name the import binds (for resolving later call sites)
-    local_name: str = ""
 
 
 @dataclass
@@ -75,13 +73,6 @@ class FileContext:
     #: local binding -> absolute dotted origin (``simulate`` ->
     #: ``repro.api.simulate``; ``np`` -> ``numpy``)
     import_map: Dict[str, str] = field(default_factory=dict)
-    #: memoized :class:`repro.analysis.dataflow.ModuleDataflow` (built
-    #: lazily by :func:`repro.analysis.dataflow.module_dataflow` so the
-    #: C/P/K rule packs share one def-use build per file; typed loosely
-    #: to keep this module import-light)
-    dataflow_cache: Optional[object] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def module_head(self) -> Optional[str]:
@@ -167,9 +158,7 @@ def extract_imports(
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
                 target = alias.name if alias.asname else alias.name.split(".")[0]
-                edges.append(
-                    ImportEdge(alias.name, node.lineno, node.col_offset, local)
-                )
+                edges.append(ImportEdge(alias.name, node.lineno, node.col_offset))
                 bindings[local] = target
         elif isinstance(node, ast.ImportFrom):
             base = _resolve_relative(module, node, is_package)
@@ -178,9 +167,7 @@ def extract_imports(
             for alias in node.names:
                 target = f"{base}.{alias.name}" if alias.name != "*" else base
                 local = alias.asname or alias.name
-                edges.append(
-                    ImportEdge(target, node.lineno, node.col_offset, local)
-                )
+                edges.append(ImportEdge(target, node.lineno, node.col_offset))
                 if alias.name != "*":
                     bindings[local] = target
     return edges, bindings

@@ -13,7 +13,7 @@ class Finding:
     ``path`` is repo-relative (or as given on the command line) so findings
     are stable across machines; ``line``/``col`` are 1-based/0-based to
     match compiler convention.  ``detail`` carries rule-specific context
-    (e.g. the missing field name) for the JSON output.
+    (e.g. the unknown keyword) for the JSON output.
     """
 
     path: str
@@ -40,12 +40,3 @@ class Finding:
         if self.detail:
             payload["detail"] = self.detail
         return payload
-
-    def baseline_key(self) -> "tuple[str, str, str]":
-        """The identity used for baseline matching.
-
-        Deliberately excludes the line number: a baselined finding should
-        survive unrelated edits that shift it a few lines, and a finding
-        that genuinely changes (new message) should resurface.
-        """
-        return (self.rule, self.path, self.message)

@@ -1,9 +1,8 @@
 """Pluggable rule registry.
 
-A rule is a class with a ``RULE_ID`` (family prefix — ``C`` concurrency,
-``D`` determinism, ``K`` cache-key, ``L`` layering, ``P`` pickle/wire,
-``S`` stats — plus a number), a one-line ``RULE_DOC``, and a ``check``
-method.  Two granularities exist:
+A rule is a class with a ``RULE_ID`` (family prefix — ``D`` determinism,
+``L`` layering, ``S`` facade vocabulary and schema — plus a number), a
+one-line ``RULE_DOC``, and a ``check`` method.  Two granularities exist:
 
 * **file rules** (``scope = "file"``) — ``check(file_ctx)`` is called once
   per parsed source file and yields :class:`~.findings.Finding`s.
@@ -14,7 +13,7 @@ method.  Two granularities exist:
 Register with the :func:`register_rule` decorator; ``python -m
 repro.analysis --list-rules`` prints the catalogue.  Adding a rule is:
 write the class, decorate it, add fixtures to ``tests/analysis`` — the CLI
-and baseline machinery pick it up automatically.
+picks it up automatically.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Type
 
 from .findings import Finding
 
-_RULE_ID_RE = re.compile(r"^[CDKLPS]\d{3}$")
+_RULE_ID_RE = re.compile(r"^[DLS]\d{3}$")
 
 
 class Rule:
@@ -57,7 +56,7 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
     """Class decorator adding ``cls`` to the global rule registry."""
     if not _RULE_ID_RE.match(cls.RULE_ID):
         raise ValueError(
-            f"rule id {cls.RULE_ID!r} must match C/D/K/L/P/S + three digits"
+            f"rule id {cls.RULE_ID!r} must match D/L/S + three digits"
         )
     if cls.RULE_ID in _REGISTRY and _REGISTRY[cls.RULE_ID] is not cls:
         raise ValueError(f"duplicate rule id {cls.RULE_ID}")
@@ -71,11 +70,6 @@ def all_rules() -> List[Type[Rule]]:
     """Every registered rule class, sorted by rule id."""
     _load_builtin_rules()
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    _load_builtin_rules()
-    return _REGISTRY[rule_id]
 
 
 def select_rules(
@@ -108,11 +102,4 @@ def _load_builtin_rules() -> None:
     if _loaded:
         return
     _loaded = True
-    from . import (  # noqa: F401
-        rules_cachekey,
-        rules_concurrency,
-        rules_determinism,
-        rules_layering,
-        rules_stats,
-        rules_wire,
-    )
+    from . import rules_determinism, rules_layering, rules_stats  # noqa: F401

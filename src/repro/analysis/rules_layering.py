@@ -19,19 +19,13 @@ modules at the same rank are independent by design (the four rank-3
 hardware-model packages know nothing of each other), so same-rank
 cross-imports are back-edges too.  Function-local (lazy) imports count:
 laziness changes *when* a cycle bites, not whether the layering holds.
-
-L202 separately bans the three retired pre-facade call spellings inside
-the repo now that :mod:`repro.api` is the stable surface — both *calling*
-them and *reintroducing* the ``*args`` compatibility shims that once
-serviced them.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, Iterator, Optional
 
-from .context import FileContext, ProjectContext
+from .context import ProjectContext
 from .findings import Finding
 from .registry import Rule, register_rule
 
@@ -124,83 +118,3 @@ class LayeringRule(Rule):
                         },
                     )
 
-
-#: the retired pre-facade spellings: callable origin -> maximum number
-#: of positional arguments the keyword-era signature accepts
-_LEGACY_POSITIONAL_LIMITS = {
-    # engine entry point: simulate(trace, config, *, controller=, ...)
-    "repro.pipeline.processor.simulate": 2,
-    # runner entry point: run_trace(trace, config, controller=None, *, ...)
-    "repro.experiments.runner.run_trace": 3,
-    # facade: simulate(workload, **spec-kwargs); positional config/controller
-    # selected the removed SimStats-returning shim
-    "repro.api.simulate": 1,
-    "repro.simulate": 1,
-}
-
-#: entry-point definitions whose signatures must stay shim-free:
-#: module -> function names that may not grow a ``*args`` vararg back
-_SHIM_FREE_ENTRY_POINTS = {
-    "repro.pipeline.processor": frozenset({"simulate"}),
-    "repro.experiments.runner": frozenset({"run_trace"}),
-    "repro.api": frozenset({"simulate"}),
-}
-
-
-@register_rule
-class LegacyEntryPointRule(Rule):
-    """L202: retired pre-facade call spellings.
-
-    The three legacy entry-point spellings (positional
-    ``config``/``controller``/``warmup`` arguments to ``api.simulate``,
-    ``pipeline.processor.simulate`` and ``experiments.runner.run_trace``)
-    went through a :class:`DeprecationWarning` cycle and were then removed.
-    The rule keeps them dead in both directions: no repo-internal *call*
-    may use the positional spelling, and the entry-point *definitions*
-    themselves may not grow back the ``*args`` remap shim that once
-    serviced external callers.
-    """
-
-    RULE_ID = "L202"
-    RULE_DOC = (
-        "retired pre-facade entry-point spelling: positional call or "
-        "reintroduced *args compatibility shim"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        guarded = _SHIM_FREE_ENTRY_POINTS.get(ctx.module, frozenset())
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in guarded
-                and node.args.vararg is not None
-            ):
-                yield self.finding(
-                    ctx, node,
-                    f"entry point {ctx.module}.{node.name} grew back a "
-                    f"*{node.args.vararg.arg} vararg; the positional-shim "
-                    f"era is over — keep the keyword-only signature",
-                    callee=f"{ctx.module}.{node.name}",
-                    vararg=node.args.vararg.arg,
-                )
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = ctx.resolve_name(node.func)
-            if dotted is None:
-                continue
-            limit = _LEGACY_POSITIONAL_LIMITS.get(dotted)
-            if limit is None:
-                continue
-            positional = [a for a in node.args if not isinstance(a, ast.Starred)]
-            if len(node.args) > len(positional):
-                continue  # *args splat: cannot judge statically
-            if len(positional) > limit:
-                yield self.finding(
-                    ctx, node,
-                    f"retired positional spelling of {dotted} "
-                    f"({len(positional)} positional args; keyword-era "
-                    f"signature takes {limit})",
-                    callee=dotted,
-                    positional=len(positional),
-                )

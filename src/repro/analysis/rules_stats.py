@@ -1,11 +1,10 @@
-"""S-rules: statistics conservation and facade-vocabulary validation.
+"""S-rules: facade-vocabulary validation and trace-schema coverage.
 
-A parallel sweep is only correct if per-shard statistics merge losslessly
-(S301), and a 20-minute sweep should never die — or worse, silently run a
-default — because of a typo'd keyword or benchmark name that lint could
-have caught (S302/S303).  The trace-event schema is downstream consumers'
-contract, so every kind it declares must be exercised by the
-``validate_event`` tests (S304).
+A 20-minute sweep should never die — or worse, silently run a default —
+because of a typo'd keyword or benchmark name that lint could have caught
+(S302/S303).  The trace-event schema is downstream consumers' contract,
+so every kind it declares must be exercised by the ``validate_event``
+tests (S304).
 """
 
 from __future__ import annotations
@@ -13,100 +12,13 @@ from __future__ import annotations
 import ast
 import pathlib
 import re
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from .context import FileContext, ProjectContext
 from .findings import Finding
 from .registry import Rule, register_rule
 
 _STATIC_POLICY_RE = re.compile(r"^static-\d+$")
-
-
-@register_rule
-class MergeCoverageRule(Rule):
-    """S301: every ``SimStats`` field must appear in ``SimStats.merge``.
-
-    ``merge`` enumerates its fields explicitly (one ``self.x += other.x``
-    per counter) so that *this rule* can prove, statically, that no field
-    is dropped when parallel sweep shards are aggregated.  A new field
-    that ``merge`` does not mention is exactly the bug class where every
-    per-run number is right and every aggregated report is silently wrong.
-    """
-
-    RULE_ID = "S301"
-    RULE_DOC = (
-        "SimStats field not handled by SimStats.merge; parallel sweeps "
-        "would silently drop it during aggregation"
-    )
-    scope = "project"
-
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
-        ctx = project.find_module("repro.stats")
-        if ctx is None:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef) and node.name == "SimStats":
-                yield from self._check_class(ctx, node)
-
-    def _check_class(self, ctx: FileContext, cls: ast.ClassDef):
-        fields = {}
-        merge: Optional[ast.FunctionDef] = None
-        for stmt in cls.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                if not stmt.target.id.startswith("_"):
-                    fields[stmt.target.id] = stmt
-            elif (
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name == "merge"
-            ):
-                merge = stmt
-        if merge is None:
-            if fields:
-                yield self.finding(
-                    ctx, cls,
-                    "SimStats has no merge method; parallel sweep "
-                    "aggregation is impossible",
-                )
-            return
-        handled = self._attributes_touched(merge)
-        generic = self._is_generic_merge(merge)
-        for name, decl in fields.items():
-            if generic or name in handled:
-                continue
-            yield self.finding(
-                ctx, decl,
-                f"SimStats.{name} is not handled in SimStats.merge "
-                f"(declared at line {decl.lineno}); add it to merge or "
-                f"aggregated sweep statistics will drop it",
-                field=name,
-                merge_line=merge.lineno,
-            )
-
-    @staticmethod
-    def _attributes_touched(merge: ast.FunctionDef) -> Set[str]:
-        return {
-            node.attr
-            for node in ast.walk(merge)
-            if isinstance(node, ast.Attribute)
-        }
-
-    @staticmethod
-    def _is_generic_merge(merge: ast.FunctionDef) -> bool:
-        """True when merge iterates ``dataclasses.fields`` + ``setattr``.
-
-        A reflective merge handles every field by construction; the rule
-        then has nothing to prove.  (``repro.stats`` deliberately uses the
-        explicit spelling instead, trading three lines per counter for a
-        statically checkable conservation property.)
-        """
-        source_names = {
-            node.attr if isinstance(node, ast.Attribute) else node.id
-            for node in ast.walk(merge)
-            if isinstance(node, (ast.Attribute, ast.Name))
-        }
-        return "fields" in source_names and "setattr" in source_names
 
 
 #: call targets validated against the SimSpec field vocabulary; the

@@ -8,7 +8,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from .context import FileContext, ProjectContext, build_file_context
 from .findings import Finding
-from .registry import Rule, select_rules
+from .registry import select_rules
 from .vocab import build_vocabulary
 
 #: directories never descended into
@@ -63,37 +63,24 @@ def analyze_paths(
     root: Optional[pathlib.Path] = None,
     select: Iterable[str] = (),
     ignore: Iterable[str] = (),
-    focus: Optional[Sequence[pathlib.Path]] = None,
 ) -> AnalysisResult:
     """Run the registered rules over every Python file under ``paths``.
 
     ``root`` anchors the repo-relative display paths (defaults to the
     current directory).  ``select``/``ignore`` filter rules by id or
     family prefix.  Suppressed findings are returned separately so the CLI
-    can report them; baseline subtraction happens in the CLI layer.
-
-    ``focus`` (the ``--changed`` fast path) restricts *reporting* to the
-    given files while still parsing everything under ``paths`` — project
-    context must stay complete or cross-file resolution (import chasing,
-    annotation lookup) would produce false positives on partial views.
-    File-scope rules only execute on focused files; project-scope rules
-    run in full and their findings are filtered to the focus set.
+    can report them.
     """
     if root is None:
         root = pathlib.Path.cwd()
-    focus_set = None if focus is None else {p.resolve() for p in focus}
     result = AnalysisResult()
     contexts: List[FileContext] = []
-    focused: List[FileContext] = []
     for path in collect_files(list(paths)):
         display = _display_path(path, root)
-        in_focus = focus_set is None or path.resolve() in focus_set
         try:
-            ctx = build_file_context(path, display)
+            contexts.append(build_file_context(path, display))
         except (SyntaxError, UnicodeDecodeError) as exc:
             result.parse_errors += 1
-            if not in_focus:
-                continue
             lineno = getattr(exc, "lineno", None) or 1
             result.findings.append(
                 Finding(
@@ -104,31 +91,19 @@ def analyze_paths(
                     message=f"file does not parse: {exc}",
                 )
             )
-            continue
-        contexts.append(ctx)
-        if in_focus:
-            focused.append(ctx)
-    result.files_scanned = len(focused)
+    result.files_scanned = len(contexts)
 
     project = ProjectContext(files=contexts)
     project.vocabulary = build_vocabulary(project)
 
-    if focus_set is not None and not focused:
-        return result  # nothing to report on; skip the rule passes
-
-    rules: List[Rule] = []
+    raw: List[Finding] = []
     for rule_cls in select_rules(select, ignore):
         rule = rule_cls()
         rule.project = project  # file rules that need cross-file data
-        rules.append(rule)
-
-    focused_paths = {ctx.display_path for ctx in focused}
-    raw: List[Finding] = []
-    for rule in rules:
         if rule.scope == "project":
-            raw.extend(f for f in rule.check(project) if f.path in focused_paths)
+            raw.extend(rule.check(project))
         else:
-            for ctx in focused:
+            for ctx in contexts:
                 raw.extend(rule.check(ctx))
 
     by_path = {ctx.display_path: ctx for ctx in contexts}

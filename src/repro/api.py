@@ -290,9 +290,8 @@ def simulate(
         simulate(("gzip", "swim"), topology="torus", arbiter="round-robin")
 
     The pre-facade spelling ``simulate(trace, config, controller)`` was
-    removed after its deprecation cycle (analysis rule L202 guards
-    against its return); every parameter except the workload is
-    keyword-only.
+    removed after its deprecation cycle; every parameter except the
+    workload is keyword-only.
     """
     if isinstance(workload, MultiProgSpec) or isinstance(workload, (tuple, list)):
         return _simulate_multiprog(workload, trace, kwargs)

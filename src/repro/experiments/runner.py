@@ -85,7 +85,7 @@ def run_trace(
 
     The pre-facade spelling ``run_trace(trace, config, controller, warmup,
     label)`` was removed after its deprecation cycle; everything past the
-    controller is keyword-only (analysis rule L202 guards the signature).
+    controller is keyword-only.
     """
     processor = ClusteredProcessor(
         trace, config, controller, tracer=tracer, fault_schedule=fault_schedule

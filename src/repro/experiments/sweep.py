@@ -125,9 +125,9 @@ class ControllerSpec:
 
     kind: str = "none"
     clusters: Optional[int] = None
-    #: typed as the closed union of algorithm-constant dataclasses (all
-    #: frozen, all repr-stable) so the pickle/cache-key rules can prove the
-    #: spec picklable and its repr deterministic (P502/K601)
+    #: the closed union of algorithm-constant dataclasses (all frozen, all
+    #: repr-stable), so the spec pickles by value and its repr is a
+    #: deterministic part of the cache key
     algo: Optional[
         Union[ExploreConfig, NoExploreConfig, FineGrainConfig]
     ] = None
@@ -257,10 +257,10 @@ class RunSpec:
 
 
 #: fields that deliberately do NOT flow into :meth:`RunSpec.cache_key`.
-#: Audited by analysis rules K601/K602: adding a field to RunSpec or
-#: SweepConfig forces a choice — thread it into the key, or declare it
-#: non-semantic here.  A stale or contradictory entry is itself a
-#: finding, so this list can only ever shrink behind the code.
+#: ``tests/experiments/test_sweep.py::TestCacheKey`` changes every other
+#: RunSpec field and checks that the key moves, and checks that this list
+#: names every SweepConfig field: adding a field to either forces a
+#: choice — thread it into the key, or declare it non-semantic here.
 CACHE_KEY_EXEMPT: Dict[str, Tuple[str, ...]] = {
     # reporting name only: two exhibits running the same configuration
     # under different labels share one cache entry (see RunSpec docstring)
@@ -274,13 +274,6 @@ CACHE_KEY_EXEMPT: Dict[str, Tuple[str, ...]] = {
         "poison_threshold", "trace_dir",
     ),
 }
-
-#: the declarative payload types that cross the process-pool boundary by
-#: pickle.  Analysis rule P502 proves each is a frozen dataclass whose
-#: fields are transitively picklable.  RunRecord (the reply direction) is
-#: deliberately absent: it is a mutable progress record, not a spec, and
-#: its pickling is exercised end-to-end by the backend conformance suite.
-WIRE_SPEC_TYPES: Tuple[str, ...] = ("repro.experiments.sweep.RunSpec",)
 
 _CODE_DIGEST: Optional[str] = None
 

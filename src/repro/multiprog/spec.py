@@ -56,7 +56,7 @@ class MultiProgSpec:
     #: reporting name only — excluded from the repr (and therefore from
     #: RunSpec.cache_key, which interpolates ``multiprog={...!r}``), for
     #: the same reason RunSpec.label is exempt: relabeling an exhibit
-    #: must not fork its cache entries (audited by analysis rule K601)
+    #: must not fork its cache entries
     label: str = field(default="", repr=False)
 
     def __post_init__(self) -> None:

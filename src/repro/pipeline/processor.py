@@ -624,8 +624,7 @@ def simulate(
     This is the engine-level entry point; prefer :func:`repro.api.simulate`
     for the stable facade.  ``controller``/``max_instructions``/``steering``
     are keyword-only (the unified vocabulary); the pre-facade positional
-    spelling was removed after its deprecation cycle (analysis rule L202
-    guards against its return).
+    spelling was removed after its deprecation cycle.
     """
     processor = ClusteredProcessor(trace, config, controller, steering)
     return processor.run(max_instructions)

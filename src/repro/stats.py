@@ -12,7 +12,7 @@ Two layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List
 
 
@@ -129,52 +129,9 @@ class SimStats:
         per-run statistics yields exactly the statistics of the combined
         workload — this is what lets a parallel sweep aggregate its shards
         into one report.  Returns ``self`` for chaining.
-
-        Each field is merged explicitly (rather than reflecting over
-        ``dataclasses.fields``) so the S301 static-analysis rule can prove
-        that no counter is dropped during aggregation: adding a field
-        without extending this method fails lint (and the test suite
-        cross-checks the enumeration against ``dataclasses.fields``).
         """
-        self.cycles += other.cycles
-        self.committed += other.committed
-        self.fetched += other.fetched
-        self.dispatched += other.dispatched
-        self.issued += other.issued
-        self.squashed += other.squashed
-        self.branches += other.branches
-        self.mispredicts += other.mispredicts
-        self.memrefs += other.memrefs
-        self.loads += other.loads
-        self.stores += other.stores
-        self.l1_hits += other.l1_hits
-        self.l1_misses += other.l1_misses
-        self.l2_hits += other.l2_hits
-        self.l2_misses += other.l2_misses
-        self.bank_conflict_cycles += other.bank_conflict_cycles
-        self.register_transfers += other.register_transfers
-        self.register_transfer_cycles += other.register_transfer_cycles
-        self.memory_transfers += other.memory_transfers
-        self.memory_transfer_cycles += other.memory_transfer_cycles
-        self.store_broadcasts += other.store_broadcasts
-        self.bank_predictions += other.bank_predictions
-        self.bank_mispredictions += other.bank_mispredictions
-        self.distant_commits += other.distant_commits
-        self.reconfigurations += other.reconfigurations
-        self.cache_flushes += other.cache_flushes
-        self.flush_writebacks += other.flush_writebacks
-        self.flush_stall_cycles += other.flush_stall_cycles
-        self.cluster_cycle_product += other.cluster_cycle_product
-        self.arb_grants += other.arb_grants
-        self.arb_reclaims += other.arb_reclaims
-        self.owned_cluster_cycles += other.owned_cluster_cycles
-        self.faults_injected += other.faults_injected
-        self.cluster_kills += other.cluster_kills
-        self.links_severed += other.links_severed
-        self.links_degraded += other.links_degraded
-        self.fu_faults += other.fu_faults
-        self.degraded_cycles += other.degraded_cycles
-        self.recovery_cycles += other.recovery_cycles
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
     @classmethod

@@ -1,4 +1,4 @@
-"""L-rules: the import-direction architecture and the legacy-spelling ban."""
+"""L201: the import-direction architecture."""
 
 
 class TestL201Layering:
@@ -86,102 +86,3 @@ class TestL201Layering:
         )
         assert result.findings == []
 
-
-class TestL202LegacySpellings:
-    def test_engine_simulate_positional_controller_flagged(self, findings_of):
-        found = findings_of({
-            "repro/experiments/use.py": """
-                from ..pipeline.processor import simulate
-
-                def go(trace, config, controller):
-                    return simulate(trace, config, controller)
-            """,
-        }, select=["L202"])
-        assert [f.rule for f in found] == ["L202"]
-
-    def test_run_trace_positional_warmup_flagged(self, findings_of):
-        found = findings_of({
-            "repro/cli.py": """
-                from .experiments.runner import run_trace
-
-                def go(trace, config):
-                    return run_trace(trace, config, None, 1000)
-            """,
-        }, select=["L202"])
-        assert [f.rule for f in found] == ["L202"]
-
-    def test_facade_simulate_positional_config_flagged(self, findings_of):
-        found = findings_of({
-            "repro/cli.py": """
-                from .api import simulate
-
-                def go(trace, config):
-                    return simulate(trace, config)
-            """,
-        }, select=["L202"])
-        assert [f.rule for f in found] == ["L202"]
-
-    def test_keyword_spellings_ok(self, findings_of):
-        found = findings_of({
-            "repro/cli.py": """
-                from .api import simulate
-                from .experiments.runner import run_trace
-                from .pipeline.processor import simulate as engine_simulate
-
-                def go(trace, config, controller):
-                    simulate(trace, processor=config)
-                    engine_simulate(trace, config, controller=controller)
-                    run_trace(trace, config, controller, warmup=1000)
-            """,
-        }, select=["L202"])
-        assert found == []
-
-    def test_unrelated_simulate_names_ok(self, findings_of):
-        # a locally defined simulate() is not the facade's
-        found = findings_of({
-            "repro/experiments/local.py": """
-                def simulate(a, b, c, d):
-                    return a
-
-                simulate(1, 2, 3, 4)
-            """,
-        }, select=["L202"])
-        assert found == []
-
-    def test_reintroduced_vararg_shim_flagged(self, findings_of):
-        # the entry-point definitions may not grow the *args remap back
-        found = findings_of({
-            "repro/pipeline/processor.py": """
-                def simulate(trace, config, *args, controller=None):
-                    return None
-            """,
-        }, select=["L202"])
-        assert [f.rule for f in found] == ["L202"]
-        assert "vararg" in found[0].message
-
-    def test_keyword_only_entry_point_def_ok(self, findings_of):
-        found = findings_of({
-            "repro/pipeline/processor.py": """
-                def simulate(trace, config, *, controller=None):
-                    return None
-            """,
-            "repro/experiments/runner.py": """
-                def run_trace(trace, config, controller=None, *, warmup=0):
-                    return None
-            """,
-        }, select=["L202"])
-        assert found == []
-
-    def test_vararg_elsewhere_ok(self, findings_of):
-        # *args on a non-entry-point def (or another module's simulate
-        # lookalike) is none of L202's business
-        found = findings_of({
-            "repro/experiments/local.py": """
-                def simulate(trace, *args):
-                    return None
-
-                def helper(*args, **kwargs):
-                    return None
-            """,
-        }, select=["L202"])
-        assert found == []

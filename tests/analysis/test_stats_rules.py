@@ -1,101 +1,6 @@
-"""S-rules: merge conservation and facade-vocabulary validation."""
-
-import dataclasses
-
-from repro.stats import SimStats
+"""S-rules: facade-vocabulary validation and trace-schema coverage."""
 
 from .conftest import REPO_ROOT
-
-REAL_STATS = (REPO_ROOT / "src/repro/stats.py").read_text()
-
-
-class TestS301MergeCoverage:
-    def test_synthetic_missing_field_flagged(self, findings_of):
-        found = findings_of({
-            "repro/stats.py": """
-                class SimStats:
-                    cycles: int = 0
-                    committed: int = 0
-                    dropped: int = 0
-
-                    def merge(self, other):
-                        self.cycles += other.cycles
-                        self.committed += other.committed
-                        return self
-            """,
-        }, select=["S301"])
-        assert len(found) == 1
-        f = found[0]
-        assert f.rule == "S301"
-        assert "dropped" in f.message
-        assert f.line == 5  # anchored at the field declaration
-
-    def test_field_deleted_from_real_merge_is_caught(self, findings_of):
-        """Deleting one `self.x += other.x` line from the real SimStats.merge
-        must produce exactly one S301 finding naming that field."""
-        broken = REAL_STATS.replace(
-            "        self.distant_commits += other.distant_commits\n", ""
-        )
-        assert broken != REAL_STATS  # the merge line we remove must exist
-        found = findings_of({"repro/stats.py": broken}, select=["S301"])
-        assert [f.rule for f in found] == ["S301"]
-        assert found[0].detail["field"] == "distant_commits"
-
-    def test_new_field_unhandled_by_real_merge_is_caught(self, findings_of):
-        grown = REAL_STATS.replace(
-            "    distant_commits: int = 0",
-            "    distant_commits: int = 0\n    brand_new_counter: int = 0",
-            1,
-        )
-        assert grown != REAL_STATS
-        found = findings_of({"repro/stats.py": grown}, select=["S301"])
-        assert [f.detail["field"] for f in found] == ["brand_new_counter"]
-
-    def test_real_stats_module_is_clean(self, findings_of):
-        found = findings_of({"repro/stats.py": REAL_STATS}, select=["S301"])
-        assert found == []
-
-    def test_reflective_merge_is_exempt(self, findings_of):
-        # a dataclasses.fields()+setattr merge handles every field by
-        # construction, so the rule has nothing to prove
-        found = findings_of({
-            "repro/stats.py": """
-                import dataclasses
-
-                class SimStats:
-                    cycles: int = 0
-                    anything: int = 0
-
-                    def merge(self, other):
-                        for f in dataclasses.fields(self):
-                            setattr(self, f.name,
-                                    getattr(self, f.name) + getattr(other, f.name))
-                        return self
-            """,
-        }, select=["S301"])
-        assert found == []
-
-    def test_missing_merge_method_flagged(self, findings_of):
-        found = findings_of({
-            "repro/stats.py": """
-                class SimStats:
-                    cycles: int = 0
-            """,
-        }, select=["S301"])
-        assert len(found) == 1
-        assert "no merge method" in found[0].message
-
-    def test_runtime_merge_matches_field_enumeration(self):
-        """The explicit merge really sums every dataclass field (the runtime
-        cross-check promised in the merge docstring)."""
-        a = SimStats()
-        b = SimStats()
-        for offset, f in enumerate(dataclasses.fields(SimStats)):
-            setattr(a, f.name, 1000 + offset)
-            setattr(b, f.name, 1 + offset)
-        a.merge(b)
-        for offset, f in enumerate(dataclasses.fields(SimStats)):
-            assert getattr(a, f.name) == 1001 + 2 * offset, f.name
 
 
 class TestS302UnknownKeywords:

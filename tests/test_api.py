@@ -130,8 +130,8 @@ class TestSweepFacade:
 
 class TestRetiredSpellings:
     """The three pre-facade positional spellings completed their
-    deprecation cycle and are gone: the signatures are keyword-only now
-    (analysis rule L202 keeps them that way)."""
+    deprecation cycle and are gone: the signatures are keyword-only now,
+    so a reintroduced ``*args`` shim fails these tests."""
 
     def test_facade_positional_config_rejected(self, parallel_trace, config16):
         with pytest.raises(TypeError):

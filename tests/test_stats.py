@@ -124,7 +124,7 @@ class TestMerge:
         assert total.cycles == 0 and total.ipc == 0.0
 
     def test_merge_sums_arbitration_counters(self):
-        # the multiprog fields must survive aggregation (S301's guarantee)
+        # the multiprog fields must survive aggregation
         a = SimStats(arb_grants=3, arb_reclaims=1, owned_cluster_cycles=400)
         b = SimStats(arb_grants=2, arb_reclaims=4, owned_cluster_cycles=100)
         a.merge(b)
