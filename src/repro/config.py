@@ -135,6 +135,14 @@ class ClusterConfig:
     fp_alus: int = 1
     fp_muls: int = 1
 
+    def __post_init__(self) -> None:
+        # without one of these an instruction that needs it never issues,
+        # and the run ends in a pipeline-wedged error a million cycles on
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value < 1:
+                raise ConfigError(f"cluster.{f.name} must be >= 1, got {value}")
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -318,36 +326,3 @@ def monolithic_config() -> ProcessorConfig:
         interconnect=InterconnectConfig(topology="ring", model_contention=False),
     )
 
-
-def config_summary(config: ProcessorConfig) -> str:
-    """One-line human-readable summary of a configuration."""
-    mem = config.memory.organization
-    top = config.interconnect.topology
-    return (
-        f"{config.num_clusters} clusters, {top} interconnect, {mem} cache, "
-        f"{config.cluster.issue_queue_size} IQ / {config.cluster.regfile_size} regs "
-        f"per cluster"
-    )
-
-
-def validate_config(config: ProcessorConfig) -> None:
-    """Raise :class:`ConfigError` on semantically invalid configurations.
-
-    ``__post_init__`` catches structural issues; this adds cross-field
-    checks used by the experiment harness before long runs.
-    """
-    if config.interconnect.topology in ("grid", "torus"):
-        side = int(round(config.num_clusters ** 0.5))
-        if side * side != config.num_clusters and config.num_clusters % 4 != 0:
-            raise ConfigError(
-                f"{config.interconnect.topology} topology needs a rectangular "
-                f"cluster count, got {config.num_clusters}"
-            )
-    if config.memory.organization == "decentralized":
-        if config.memory.l1.banks != 1:
-            raise ConfigError("decentralized cache uses one bank per cluster")
-    if config.front_end.fetch_width > config.front_end.fetch_queue_size:
-        raise ConfigError("fetch width cannot exceed the fetch queue size")
-    for f in dataclasses.fields(ClusterConfig):
-        if getattr(config.cluster, f.name) < 1:
-            raise ConfigError(f"cluster.{f.name} must be positive")

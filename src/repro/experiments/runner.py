@@ -9,12 +9,11 @@ over two billion fast-forwarded instructions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from ..config import ProcessorConfig, env_float
 from ..pipeline.processor import ClusteredProcessor
 from ..stats import SimStats
-from ..workloads.generator import Profile, generate_trace
 from ..workloads.instruction import Trace
 
 #: environment knob: multiply all default trace lengths (>=1); lets a beefier
@@ -118,18 +117,3 @@ def run_trace(
         stats=stats,
     )
 
-
-class TraceCache:
-    """Re-use generated traces across the configurations of one experiment
-    (the comparison is only fair on identical dynamic instruction streams)."""
-
-    def __init__(self, length: Optional[int] = None, seed: int = DEFAULT_SEED) -> None:
-        self.length = length if length is not None else scaled_length()
-        self.seed = seed
-        self._traces: Dict[str, Trace] = {}
-
-    def get(self, profile: Profile) -> Trace:
-        key = profile.name
-        if key not in self._traces:
-            self._traces[key] = generate_trace(profile, self.length, self.seed)
-        return self._traces[key]

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 
@@ -285,7 +285,3 @@ class FaultSchedule:
                 )
         return cls(events=tuple(events))
 
-
-def link_id_map(topology) -> Dict[Tuple[int, int], int]:
-    """Reverse the topology's link table: ``(src, dst) -> link id``."""
-    return {ends: link for link, ends in topology.link_endpoints().items()}

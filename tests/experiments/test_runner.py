@@ -1,10 +1,9 @@
-"""Experiment runner: warmup exclusion, trace caching."""
+"""Experiment runner: warmup exclusion, trace-length scaling."""
 
 import pytest
 
 from repro.core import StaticController
-from repro.experiments.runner import TraceCache, run_trace, scaled_length
-from repro.workloads.profiles import get_profile
+from repro.experiments.runner import run_trace, scaled_length
 
 
 class TestRunTrace:
@@ -34,19 +33,7 @@ class TestRunTrace:
         assert a.speedup_over(b) == pytest.approx(a.ipc / b.ipc)
 
 
-class TestTraceCache:
-    def test_same_object_returned(self):
-        cache = TraceCache(length=2000, seed=3)
-        p = get_profile("gzip")
-        assert cache.get(p) is cache.get(p)
-
-    def test_distinct_profiles_distinct_traces(self):
-        cache = TraceCache(length=2000, seed=3)
-        a = cache.get(get_profile("gzip"))
-        b = cache.get(get_profile("swim"))
-        assert a is not b
-        assert a.name == "gzip" and b.name == "swim"
-
+class TestScaledLength:
     def test_scaled_length_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_SCALE", "2")
         assert scaled_length(1000) == 2000

@@ -19,7 +19,7 @@ import pytest
 import repro
 from repro.config import decentralized_config, default_config
 from repro.core import ExploreConfig, NoExploreConfig, StaticController
-from repro.experiments.runner import TraceCache, run_trace
+from repro.experiments.runner import run_trace
 from repro.experiments.sweep import (
     CACHE_KEY_EXEMPT,
     ControllerSpec,
@@ -33,6 +33,8 @@ from repro.experiments.sweep import (
     require_ok,
 )
 from repro.stats import SimStats
+from repro.workloads.generator import generate_trace
+from repro.workloads.profiles import get_profile
 
 from ..specs import MULTIPROG, RUN_SPEC
 
@@ -150,12 +152,8 @@ class TestSerialRunner:
 
     def test_matches_direct_run_trace(self):
         """SweepRunner(SweepConfig(jobs=1)) == the plain serial path, bit for bit."""
-        from repro.workloads.profiles import get_profile
-
-        cache = TraceCache(LEN, seed=7)
-
         direct = run_trace(
-            cache.get(get_profile("gzip")),
+            generate_trace(get_profile("gzip"), LEN, seed=7),
             default_config(16),
             StaticController(4),
             label="test",
