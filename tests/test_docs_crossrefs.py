@@ -51,6 +51,14 @@ RETIRED = [
         "ProducerSteering.set_owned(...)",
     ),
     (
+        "retired analysis modes",
+        re.compile(
+            r"--changed\b|--write-baseline\b|--no-baseline\b"
+            r"|--format[ =]sarif\b"
+        ),
+        "python -m repro.analysis over the whole tree",
+    ),
+    (
         "positional simulate(trace, config)",
         re.compile(
             r"\bsimulate\(\s*[\w.\"']+\s*,\s*(default_config|grid_config"
@@ -156,6 +164,7 @@ def test_lint_catches_retired_spellings():
         "distributed backend": 'sweep(specs, backend="distributed")',
         "lockstep batch backend": "python -m repro figure5 --batch-size 8",
         "MaskedSteering": "from repro.multiprog import MaskedSteering",
+        "retired analysis modes": "python -m repro.analysis --format sarif",
         "positional simulate(trace, config)": "simulate(trace, default_config(16))",
         "positional run_trace controller-plus-warmup": (
             "run_trace(trace, config, controller, 4000)"
