@@ -111,6 +111,19 @@ class TestCacheKey:
         changed = dataclasses.replace(RUN_SPEC, **{name: KEY_CHANGES[name]})
         assert changed.cache_key() != RUN_SPEC.cache_key()
 
+    def test_controller_parameters_change_the_key(self):
+        """The table's controller row changes the kind; the key must also
+        see a same-kind controller's cluster count and algorithm constants."""
+        static4, static8 = (
+            dataclasses.replace(RUN_SPEC, controller=ControllerSpec.static(n))
+            for n in (4, 8)
+        )
+        assert static4.cache_key() != static8.cache_key()
+        paper = dataclasses.replace(
+            RUN_SPEC, controller=ControllerSpec.explore(ExploreConfig())
+        )
+        assert paper.cache_key() != RUN_SPEC.cache_key()
+
     def test_label_does_not_change_the_key(self):
         relabelled = dataclasses.replace(
             RUN_SPEC,

@@ -108,6 +108,20 @@ class TestMerge:
         # the donor is untouched
         assert all(getattr(b, f.name) == 3 for f in dataclasses.fields(SimStats))
 
+    def test_merge_keeps_fields_apart(self):
+        """Distinct values per field: a merge that adds the donor's
+        counter into the wrong field fails here, not just a dropped one."""
+        import dataclasses
+
+        a = SimStats()
+        b = SimStats()
+        for offset, f in enumerate(dataclasses.fields(SimStats)):
+            setattr(a, f.name, 1000 + offset)
+            setattr(b, f.name, 1 + offset)
+        a.merge(b)
+        for offset, f in enumerate(dataclasses.fields(SimStats)):
+            assert getattr(a, f.name) == 1001 + 2 * offset, f.name
+
     def test_merged_classmethod_sums_runs(self):
         runs = [
             SimStats(cycles=100, committed=250, mispredicts=2),
