@@ -53,6 +53,7 @@ def record_intervals(
     controller = RecordingController(granularity)
     processor = ClusteredProcessor(trace, config or default_config(), controller)
     processor.run(max_instructions)
+    processor.release()
     return controller.records
 
 

@@ -99,8 +99,8 @@ def run_trace(
     committed0 = processor.stats.committed
     mispredicts0 = processor.stats.mispredicts
     cluster_cycles0 = processor.stats.cluster_cycle_product
-    processor.run(max_instructions)
-    stats = processor.stats
+    stats = processor.run(max_instructions)
+    processor.release()
 
     cycles = max(1, stats.cycles - cycles0)
     committed = stats.committed - committed0

@@ -29,13 +29,15 @@ class _RecordingProxy:
 
     A module-level class (rather than a closure inside ``attach``) so that
     an attached :class:`TimelineRecorder` stays picklable — sweep workers
-    ship recorded controllers back across process boundaries.
+    ship recorded controllers back across process boundaries.  It appends
+    to the recorder's event list rather than holding the recorder, so the
+    pair forms no reference cycle.
     """
 
-    def __init__(self, processor, recorder: "TimelineRecorder") -> None:
+    def __init__(self, processor, events: List[Reconfiguration]) -> None:
         # bypass __getattr__-era attribute lookups during construction
         object.__setattr__(self, "_processor", processor)
-        object.__setattr__(self, "_recorder", recorder)
+        object.__setattr__(self, "_events", events)
 
     def __getattr__(self, name):
         if name.startswith("_"):
@@ -49,7 +51,7 @@ class _RecordingProxy:
         before = processor.active_clusters
         processor.set_active_clusters(n, reason)
         if processor.active_clusters != before:
-            self._recorder.events.append(
+            self._events.append(
                 Reconfiguration(
                     cycle=processor.cycle,
                     committed=processor.stats.committed,
@@ -68,7 +70,8 @@ class TimelineRecorder:
     def __init__(self, inner) -> None:
         self.inner = inner
         self.events: List[Reconfiguration] = []
-        self._processor = None
+        #: the machine's width before any event (known once attached)
+        self._initial_clusters = 16
 
     # -- controller interface -------------------------------------------
     @property
@@ -76,8 +79,8 @@ class TimelineRecorder:
         return getattr(self.inner, "needs_dispatch_events", False)
 
     def attach(self, processor) -> None:
-        self._processor = processor
-        self.inner.attach(_RecordingProxy(processor, self))
+        self._initial_clusters = processor.config.num_clusters
+        self.inner.attach(_RecordingProxy(processor, self.events))
 
     def on_commit(self, instr: Instr, cycle: int, distant: bool) -> None:
         self.inner.on_commit(instr, cycle, distant)
@@ -97,9 +100,7 @@ class TimelineRecorder:
         per_bucket = max(1, total_committed // width)
         strip = []
         events = sorted(self.events, key=lambda e: e.committed)
-        current = (
-            self._processor.config.num_clusters if self._processor else 16
-        )
+        current = self._initial_clusters
         idx = 0
         for bucket in range(width):
             boundary = bucket * per_bucket

@@ -81,10 +81,9 @@ class Network:
         #: per-link latency table, or None while all links are healthy
         #: (the hot paths branch on this one reference)
         self._link_latency: Optional[List[int]] = None
-
-    def reset_contention(self) -> None:
-        """Forget all link reservations (used when the pipeline is flushed)."""
-        self._links.reset()
+        #: source node -> the clockwise and counter-clockwise paths of its
+        #: ring broadcast, as ``(link, node reached)`` per hop
+        self._broadcast_paths: Dict[int, tuple] = {}
 
     # -- link faults (driven by repro.resilience.FaultManager) ---------
 
@@ -169,9 +168,6 @@ class Network:
 
     # -- latency -------------------------------------------------------
 
-    def hops(self, src: int, dst: int) -> int:
-        return self.topology.hops(src, dst)
-
     def uncontended_latency(self, src: int, dst: int) -> int:
         table = self._link_latency
         if table is None:
@@ -234,9 +230,9 @@ class Network:
         back to per-destination transfers.
         """
         n = self.topology.num_nodes
-        arrivals: Dict[int, int] = {src: start_cycle}
-        if kind == "memory" and self.config.free_memory_communication:
+        if kind == "memory" and self._free_memory:
             return {k: start_cycle for k in range(n)}
+        arrivals = {src: start_cycle}
         # the circulating fast path assumes the intact ring with uniform
         # link latency; any link fault falls back to per-destination
         # transfers (a sever also swaps in DegradedTopology, failing the
@@ -246,31 +242,40 @@ class Network:
             and self._link_latency is None
             and n > 1
         ):
-            hop = self.config.hop_latency
-            contend = self.config.model_contention
-            for direction, link_of in (
-                (1, lambda node: node),  # clockwise link id == source node
-                (-1, lambda node: n + node),  # ccw link id == N + source node
-            ):
-                node = src
+            paths = self._broadcast_paths.get(src)
+            if paths is None:
+                # link ids: clockwise = sending node, counter-clockwise = N + it
+                paths = self._broadcast_paths[src] = (
+                    tuple((k % n, (k + 1) % n) for k in range(src, src + n // 2)),
+                    tuple(
+                        (n + k % n, (k - 1) % n)
+                        for k in range(src, src - (n - 1) // 2, -1)
+                    ),
+                )
+            # the two paths reach disjoint nodes (n//2 + (n-1)//2 = n-1),
+            # so each node is written once, and each hop is one message
+            hop = self._hop_latency
+            total = 0
+            for path in paths:
                 ready = start_cycle
-                steps = n // 2 if direction == 1 else (n - 1) // 2
-                for _ in range(steps):
-                    if contend:
-                        ready = self._links.reserve(link_of(node), ready) + hop
-                    else:
+                if self._contended:
+                    reserve = self._links.reserve
+                    for link, node in path:
+                        ready = reserve(link, ready) + hop
+                        arrivals[node] = ready
+                        total += ready
+                else:
+                    for _link, node in path:
                         ready += hop
-                    node = (node + direction) % n
-                    arrivals[node] = min(arrivals.get(node, ready), ready)
-                    self.messages_sent += 1
-                    self.stats.memory_transfers += 1
-                    self.stats.memory_transfer_cycles += ready - start_cycle
+                        arrivals[node] = ready
+                        total += ready
+            sent = n - 1
+            self.messages_sent += sent
+            self.stats.memory_transfers += sent
+            self.stats.memory_transfer_cycles += total - sent * start_cycle
             return arrivals
         for dst in range(n):
             if dst != src:
                 arrivals[dst] = self.transfer(src, dst, start_cycle, kind)
         return arrivals
 
-    def broadcast(self, src: int, start_cycle: int, kind: str = "memory") -> int:
-        """Broadcast and return the worst-case arrival cycle."""
-        return max(self.broadcast_arrivals(src, start_cycle, kind).values())

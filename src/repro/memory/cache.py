@@ -7,7 +7,7 @@ scheduling is handled by :class:`BankScheduler`.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List
 
 from ..config import CacheConfig
 from ..timing import SlotReserver
@@ -41,17 +41,19 @@ class SetAssocCache:
             raise ValueError(f"{name}: config yields zero sets")
         self._line_size = config.line_size
         self._assoc = config.assoc
-        # each set: list of [tag, dirty], most-recently-used last
-        self._sets: List[List[List[int]]] = [[] for _ in range(self.num_sets)]
-
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        line = addr // self._line_size
-        return line % self.num_sets, line
+        # only the touched sets, by index (each a list of [tag, dirty], MRU
+        # last), so building, flushing and collecting the cache cost what a
+        # run touched rather than what the geometry holds
+        self._sets: Dict[int, List[List[int]]] = {}
 
     def access(self, addr: int, is_write: bool) -> AccessResult:
         """Probe and update the cache; allocate on miss."""
         tag = addr // self._line_size
-        cache_set = self._sets[tag % self.num_sets]
+        index = tag % self.num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            self._sets[index] = [[tag, 1 if is_write else 0]]
+            return _MISS
         for i, entry in enumerate(cache_set):
             if entry[0] == tag:
                 cache_set.append(cache_set.pop(i))
@@ -66,23 +68,15 @@ class SetAssocCache:
         cache_set.append([tag, 1 if is_write else 0])
         return _MISS_WB if writeback else _MISS
 
-    def probe(self, addr: int) -> bool:
-        """Non-destructive hit check (no LRU update, no allocation)."""
-        set_idx, tag = self._locate(addr)
-        return any(entry[0] == tag for entry in self._sets[set_idx])
-
     def flush(self) -> int:
         """Invalidate everything; return the number of dirty lines that must
         be written back (Section 5 reconfiguration cost)."""
         dirty = 0
-        for cache_set in self._sets:
-            dirty += sum(entry[1] for entry in cache_set)
-            cache_set.clear()
+        for cache_set in self._sets.values():
+            for entry in cache_set:
+                dirty += entry[1]
+        self._sets.clear()
         return dirty
-
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
 
 
 class BankScheduler:
@@ -102,6 +96,3 @@ class BankScheduler:
     def reserve(self, bank: int, earliest: int) -> int:
         """The cycle at which the access actually starts."""
         return self._slots.reserve(bank, earliest)
-
-    def reset(self) -> None:
-        self._slots.reset()

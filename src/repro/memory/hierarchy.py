@@ -14,8 +14,7 @@ backed by a 160-cycle memory (Table 1).  The processor talks to a
 * ``commit(index, cycle)`` — retire the LSQ entry (stores write the cache);
 * ``set_banks(banks, cycle)`` — reconfiguration/fault hook naming the
   dispatch-eligible bank clusters; the decentralized cache must flush
-  (returns the stall in cycles).  ``set_active_clusters(n, cycle)`` is the
-  healthy-prefix shorthand ``set_banks(range(n), cycle)``.
+  (returns the stall in cycles).
 """
 
 from __future__ import annotations
@@ -123,10 +122,6 @@ class MemorySystem:
         count matters to it."""
         self.active_clusters = len(tuple(banks))
         return 0
-
-    def set_active_clusters(self, n: int, cycle: int) -> int:
-        """Healthy-prefix shorthand for :meth:`set_banks`."""
-        return self.set_banks(range(n), cycle)
 
 
 class CentralizedMemory(MemorySystem):

@@ -421,6 +421,8 @@ def run_multiprog(
         for thread in threads
     )
     merged = SimStats.merged(t.processor.stats for t in threads)
+    for thread in threads:
+        thread.processor.release()
     return MultiProgResult(
         spec=spec, threads=thread_results, cycles=cycle, stats=merged
     )

@@ -112,14 +112,16 @@ _BRANCH = OpClass.BRANCH
 
 
 class FusedCore:
-    """The fused cycle loop bound to one processor.
+    """The fused cycle loop of one processor.
 
     Every processor built without ``naive_issue`` owns one and drives
     ``step()``/``run()``/``advance()`` through it; steering overrides may
-    be installed at any time before an :meth:`advance` call.
+    be installed at any time before an :meth:`advance` call.  The core
+    holds no reference back to its processor (each call is handed it), so
+    a finished run is freed by reference counting alone.
     """
 
-    __slots__ = ("p", "_disp_lat", "_redirect_lat")
+    __slots__ = ("_disp_lat", "_redirect_lat")
 
     def __init__(self, processor: "ClusteredProcessor") -> None:
         if processor.naive_issue:
@@ -127,12 +129,11 @@ class FusedCore:
                 "FusedCore transcribes the event-driven issue stage; "
                 "naive_issue processors run the stage-by-stage loop"
             )
-        self.p = processor
         self._disp_lat: Tuple[int, ...] = ()
         self._redirect_lat: Tuple[int, ...] = ()
-        self._refresh_latency_tables()
+        self._refresh_latency_tables(processor)
 
-    def _refresh_latency_tables(self) -> None:
+    def _refresh_latency_tables(self, p: "ClusteredProcessor") -> None:
         """Memoize the front-end network latencies per destination.
 
         ``uncontended_latency`` depends only on the topology view and the
@@ -140,7 +141,6 @@ class FusedCore:
         the fault manager — so the tables are rebuilt after every fault
         poll and are exact in between.
         """
-        p = self.p
         network = p.network
         home = p._home
         n = p.config.num_clusters
@@ -150,12 +150,13 @@ class FusedCore:
 
     def advance(
         self,
+        p: "ClusteredProcessor",
         target_committed: int,
         max_cycles: Optional[int] = None,
         until_cycle: Optional[int] = None,
     ) -> bool:
-        """Run until ``stats.committed`` reaches ``target_committed`` or the
-        trace finishes; see :meth:`ClusteredProcessor.advance`.
+        """Run ``p`` until ``stats.committed`` reaches ``target_committed``
+        or the trace finishes; see :meth:`ClusteredProcessor.advance`.
 
         Returns ``True`` when the goal is reached, ``False`` when the
         clock reached ``until_cycle`` first (the idle skip never jumps
@@ -163,7 +164,6 @@ class FusedCore:
         semantics (checked after every executed cycle); ``None`` runs
         unguarded.
         """
-        p = self.p
         stats = p.stats
         fu = p.fetch_unit
         mem = p.memory
@@ -272,7 +272,7 @@ class FusedCore:
             active = False
             if cycle >= p._next_fault:
                 p._next_fault = p._fault_manager.advance(cycle)
-                self._refresh_latency_tables()
+                self._refresh_latency_tables(p)
                 disp_lat = self._disp_lat
                 redirect_lat = self._redirect_lat
                 wake_min = never

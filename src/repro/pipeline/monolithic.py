@@ -24,4 +24,6 @@ def simulate_monolithic(
 ) -> SimStats:
     """Run the monolithic baseline over a trace."""
     processor = ClusteredProcessor(trace, config or monolithic_config())
-    return processor.run(max_instructions)
+    stats = processor.run(max_instructions)
+    processor.release()
+    return stats

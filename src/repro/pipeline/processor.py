@@ -552,7 +552,7 @@ class ClusteredProcessor:
         """
         target = _NEVER if target_committed is None else target_committed
         if self._core is not None:
-            return self._core.advance(target, max_cycles, until_cycle)
+            return self._core.advance(self, target, max_cycles, until_cycle)
         bound = _NEVER if until_cycle is None else until_cycle
         while self.stats.committed < target:
             if self.finished:
@@ -610,6 +610,13 @@ class ClusteredProcessor:
             self.invariants.check()
         return self.stats
 
+    def release(self) -> None:
+        """Drop the controller, invariant checker and fault manager, which
+        each point back here, so reference counting frees the finished run
+        without a cyclic collection.  Every run owner calls this once the
+        results are read; the processor must not advance afterwards."""
+        self.controller = self.invariants = self._fault_manager = None
+
 
 def simulate(
     trace: Trace,
@@ -627,4 +634,6 @@ def simulate(
     spelling was removed after its deprecation cycle.
     """
     processor = ClusteredProcessor(trace, config, controller, steering)
-    return processor.run(max_instructions)
+    stats = processor.run(max_instructions)
+    processor.release()
+    return stats

@@ -19,7 +19,6 @@ class SlotReserver:
     def __init__(self, resources: int, capacity_per_slot: int = 1) -> None:
         if resources < 1 or capacity_per_slot < 1:
             raise ValueError("resources and capacity_per_slot must be positive")
-        self.resources = resources
         self.capacity = capacity_per_slot
         self._booked: List[Dict[int, int]] = [{} for _ in range(resources)]
 
@@ -36,9 +35,3 @@ class SlotReserver:
                 cycle += 1
             calendar[cycle] = calendar.get(cycle, 0) + 1
         return cycle
-
-    def occupancy(self, resource: int, cycle: int) -> int:
-        return self._booked[resource].get(cycle, 0)
-
-    def reset(self) -> None:
-        self._booked = [{} for _ in range(self.resources)]

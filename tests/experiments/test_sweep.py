@@ -7,6 +7,7 @@ simulation would have produced.
 """
 
 import dataclasses
+import gc
 import os
 import pathlib
 import pickle
@@ -30,8 +31,12 @@ from repro.experiments.sweep import (
     SweepRunner,
     default_jobs,
     execute_spec,
+    multiprog_run_spec,
     require_ok,
 )
+from repro.multiprog import MultiProgSpec
+from repro.pipeline.processor import ClusteredProcessor
+from repro.resilience import FaultEvent, FaultSchedule
 from repro.stats import SimStats
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import get_profile
@@ -236,6 +241,50 @@ class TestFailureHandling:
     def test_execute_spec_never_raises(self):
         record = execute_spec(spec_for(profile="nope"))
         assert isinstance(record, RunRecord) and record.status == "failed"
+
+
+class TestFinishedRunsAreFreed:
+    """A finished run is freed by reference counting: with the cyclic
+    collector off, no processor outlives the :func:`execute_spec` call."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec(
+                profile="gzip",
+                trace_length=LEN,
+                config=dataclasses.replace(
+                    decentralized_config(16), check_invariants=True
+                ),
+                controller=ControllerSpec.explore(),
+                warmup=300,
+                faults=FaultSchedule((
+                    FaultEvent(cycle=300, kind="cluster_kill", cluster=3),
+                    FaultEvent(cycle=900, kind="cluster_restore", cluster=3),
+                )),
+            ),
+            multiprog_run_spec(
+                MultiProgSpec(workloads=("gzip", "swim"), trace_length=1_500)
+            ),
+        ],
+        ids=["decentralized-explore-faults", "multiprog"],
+    )
+    def test_no_processor_survives_the_run(self, spec):
+        def processors():
+            return [o for o in gc.get_objects() if isinstance(o, ClusteredProcessor)]
+
+        gc.collect()
+        before = processors()
+        gc.disable()
+        try:
+            record = execute_spec(spec)
+            survivors = [
+                o for o in processors() if all(o is not b for b in before)
+            ]
+        finally:
+            gc.enable()
+        assert record.ok, record.error
+        assert survivors == []
 
 
 class TestTimeoutWithoutSigalrm:

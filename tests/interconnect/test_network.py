@@ -1,5 +1,9 @@
 """Contention-aware network model."""
 
+import random
+
+import pytest
+
 from repro.config import InterconnectConfig
 from repro.interconnect.network import Network, build_topology
 from repro.interconnect.grid import GridTopology
@@ -61,12 +65,6 @@ class TestContention:
         assert late == 1001
         assert early == 11
 
-    def test_reset_contention(self):
-        net = _net()
-        net.transfer(0, 1, 10)
-        net.reset_contention()
-        assert net.transfer(0, 1, 10) == 11
-
     def test_bandwidth_two_allows_pairs(self):
         net = _net(link_bandwidth=2)
         assert net.transfer(0, 1, 10) == 11
@@ -111,11 +109,71 @@ class TestStats:
 class TestBroadcast:
     def test_broadcast_reaches_all(self):
         net = _net(model_contention=False)
-        worst = net.broadcast(0, 10, kind="memory")
+        worst = max(net.broadcast_arrivals(0, 10, kind="memory").values())
         assert worst == 10 + 8  # ring diameter
 
     def test_broadcast_counts_transfers(self):
         stats = SimStats()
         net = Network(InterconnectConfig(), 16, stats)
-        net.broadcast(0, 10, kind="memory")
+        net.broadcast_arrivals(0, 10, kind="memory")
         assert stats.memory_transfers == 15
+
+
+def _hop_by_hop_broadcast(net, src, start_cycle):
+    """Reference model: the circulating ring broadcast walked one hop at a
+    time, each hop's link derived from its direction, each node's arrival
+    the earlier of the two copies, and every counter bumped per hop."""
+    n = net.topology.num_nodes
+    hop = net.config.hop_latency
+    arrivals = {src: start_cycle}
+    for direction, link_of in (
+        (1, lambda node: node),  # clockwise link id == source node
+        (-1, lambda node: n + node),  # ccw link id == N + source node
+    ):
+        node = src
+        ready = start_cycle
+        steps = n // 2 if direction == 1 else (n - 1) // 2
+        for _ in range(steps):
+            if net.config.model_contention:
+                ready = net._links.reserve(link_of(node), ready) + hop
+            else:
+                ready += hop
+            node = (node + direction) % n
+            arrivals[node] = min(arrivals.get(node, ready), ready)
+            net.messages_sent += 1
+            net.stats.memory_transfers += 1
+            net.stats.memory_transfer_cycles += ready - start_cycle
+    return arrivals
+
+
+class TestBroadcastAgainstHopByHopModel:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16])
+    @pytest.mark.parametrize("contention", [True, False])
+    @pytest.mark.parametrize("bandwidth", [1, 2])
+    def test_every_source_matches(self, n, contention, bandwidth):
+        config = InterconnectConfig(
+            model_contention=contention, link_bandwidth=bandwidth
+        )
+        for src in range(n):
+            rng = random.Random(n * 1000 + src)
+            nets = [Network(config, n, SimStats()) for _ in range(2)]
+            bookings = [
+                (rng.randrange(n), rng.randrange(n), rng.randrange(40))
+                for _ in range(3 * n)
+            ]
+            for net in nets:
+                for a, b, start in bookings:
+                    net.transfer(a, b, start, kind="register")
+            table, model = nets
+            # several broadcasts, so later ones queue behind earlier ones
+            for start in (rng.randrange(40) for _ in range(3)):
+                assert table.broadcast_arrivals(src, start) == (
+                    _hop_by_hop_broadcast(model, src, start)
+                )
+            assert table.messages_sent == model.messages_sent
+            assert table.stats.memory_transfers == model.stats.memory_transfers
+            assert (
+                table.stats.memory_transfer_cycles
+                == model.stats.memory_transfer_cycles
+            )
+            assert table._links._booked == model._links._booked

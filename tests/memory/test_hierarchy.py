@@ -128,7 +128,7 @@ class TestDecentralized:
         mem, _ = _decentral(16)
         assert mem.bank_cluster(0x08) == 1  # 8-byte interleave
         assert mem.bank_cluster(0x80) == 0
-        mem.set_active_clusters(4, cycle=0)
+        mem.set_banks(range(4), cycle=0)
         assert mem.bank_cluster(0x08) == 1
         assert mem.bank_cluster(0x20) == 0  # wraps at 4 banks now
 
@@ -163,14 +163,14 @@ class TestDecentralized:
         mem.dispatch(store, cluster=2, cycle=1)
         mem.address_ready(store, cycle=2)
         mem.commit(store, 10)  # dirty line in bank 2
-        stall = mem.set_active_clusters(4, cycle=20)
+        stall = mem.set_banks(range(4), cycle=20)
         assert stall > 0
         assert stats.cache_flushes == 1
         assert stats.flush_writebacks >= 1
 
     def test_reconfigure_same_count_is_free(self):
         mem, stats = _decentral(16)
-        assert mem.set_active_clusters(16, cycle=5) == 0
+        assert mem.set_banks(range(16), cycle=5) == 0
         assert stats.cache_flushes == 0
 
     def test_load_completes_at_requesting_cluster(self):

@@ -4,15 +4,17 @@ import dataclasses
 
 import pytest
 
-from repro.config import FrontEndConfig, default_config
+from repro.config import FrontEndConfig, decentralized_config, default_config
 from repro.core import StaticController
+from repro.experiments.runner import run_trace
 from repro.pipeline.processor import ClusteredProcessor, simulate
 from repro.workloads.blocks import PhaseParams
 from repro.workloads.generator import Profile, generate_trace
+from repro.workloads.profiles import get_profile
 
 
-def _wrong_path_config(num_clusters=16):
-    base = default_config(num_clusters)
+def _wrong_path_config(base=None):
+    base = base or default_config(16)
     fe = dataclasses.replace(base.front_end, model_wrong_path=True)
     return dataclasses.replace(base, front_end=fe)
 
@@ -79,3 +81,35 @@ class TestWrongPath:
     def test_flag_lives_in_frontend_config(self):
         assert FrontEndConfig().model_wrong_path is False
         assert _wrong_path_config().front_end.model_wrong_path is True
+
+
+#: the only counters wrong-path fetch moves: its own fetched, dispatched,
+#: issued and squashed instructions
+_WRONG_PATH_COUNTERS = {"fetched", "dispatched", "issued", "squashed"}
+
+
+class TestWrongPathIsTimingInert:
+    """Pins what the mode does today: it fabricates and squashes work but
+    moves no timing counter, on either cache organization."""
+
+    @pytest.mark.parametrize("profile", ["vpr", "gzip"])
+    @pytest.mark.parametrize("machine", [default_config, decentralized_config])
+    @pytest.mark.parametrize("clusters", [4, 16])
+    def test_only_its_own_counters_differ(self, profile, machine, clusters):
+        trace = generate_trace(get_profile(profile), 8_000, seed=7)
+        base = machine(16)
+        stall, wrong = (
+            run_trace(
+                trace, config, StaticController(clusters), warmup=800
+            ).stats
+            for config in (base, _wrong_path_config(base=base))
+        )
+        assert stall.squashed == 0
+        assert wrong.squashed > 0
+        stall_fields = dataclasses.asdict(stall)
+        wrong_fields = dataclasses.asdict(wrong)
+        differing = {
+            name for name in stall_fields
+            if stall_fields[name] != wrong_fields[name]
+        }
+        assert differing <= _WRONG_PATH_COUNTERS

@@ -34,12 +34,6 @@ class TestBasics:
         assert r.reserve(0, 5) == 5
         assert r.reserve(0, 5) == 6
 
-    def test_reset(self):
-        r = SlotReserver(1)
-        r.reserve(0, 10)
-        r.reset()
-        assert r.reserve(0, 10) == 10
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SlotReserver(0)
