@@ -107,12 +107,6 @@ class FrontEndConfig:
     # we model it as the depth of the front-end pipeline between fetch and
     # dispatch, plus the (variable) hop latency from the resolving cluster.
     pipeline_depth: int = 12
-    #: optionally fetch synthetic wrong-path instructions after a
-    #: misprediction instead of stalling; they consume fetch/dispatch/issue
-    #: bandwidth, issue-queue entries, and registers until the branch
-    #: resolves and squashes them (an execution-driven machine's behaviour;
-    #: off by default — the calibrated thresholds assume stall-on-mispredict)
-    model_wrong_path: bool = False
     # Combining branch predictor (bimodal + 2-level) sizes.
     bimodal_size: int = 2048
     level1_size: int = 1024

@@ -30,10 +30,14 @@ class FineGrainConfig:
     window: int = DEFAULT_WINDOW
     #: distant instructions within the window above which the advice is the
     #: large configuration.  The paper's value is 160/1000 scaled to the
-    #: 360-instruction window (= 58); this trace-driven model never fetches
-    #: wrong-path instructions, keeps much deeper windows, and so runs far
-    #: higher absolute distant fractions — the discriminating boundary sits
-    #: near 62% (see NoExploreConfig.scaled), i.e. 223 of 360.
+    #: 360-instruction window (= 58); this trace-driven model keeps much
+    #: deeper windows and so runs far higher absolute distant fractions —
+    #: the discriminating boundary sits near 62% (see
+    #: NoExploreConfig.scaled), i.e. 223 of 360.  Fetch stalls at a
+    #: misprediction, but wrong-path work holding fetch, dispatch,
+    #: issue-queue and register resources was measured to move no cycle and
+    #: no distant commit, so that occupancy does not explain the rescaling;
+    #: wrong-path cache pollution and interconnect traffic are not modelled.
     distant_threshold: int = 223
     #: the paper's unscaled threshold, for reference and experiments
     paper_distant_threshold: int = 58

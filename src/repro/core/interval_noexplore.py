@@ -48,15 +48,18 @@ class NoExploreConfig:
     def scaled(cls, interval_length: int = 1_000) -> "NoExploreConfig":
         """Constants scaled for the trace-driven laptop model.
 
-        This simulator never fetches wrong-path instructions (fetch stalls
-        at a mispredicted branch and resumes on the correct path), so the
-        in-flight window stays deep even for branchy serial code and the
-        *absolute* distant-instruction fraction runs far above the paper's
-        execution-driven measurements; the discriminating boundary sits near
-        62% here versus the paper's 16%.  Short intervals also measure IPC
-        noisily and straddle the drain/refill transient after a
-        configuration switch, hence the settle interval and the wider IPC
-        tolerance.
+        The in-flight window stays deep even for branchy serial code, so
+        the *absolute* distant-instruction fraction runs far above the
+        paper's execution-driven measurements; the discriminating boundary
+        sits near 62% here versus the paper's 16%.  Fetch stalls at a
+        mispredicted branch, but wrong-path resource occupancy does not
+        explain the rescaling: wrong-path work that held fetch, dispatch,
+        issue-queue and register resources until the branch resolved was
+        measured to move no cycle and no distant commit.  Wrong-path cache
+        pollution and interconnect traffic are not modelled.  Short
+        intervals also measure IPC noisily and straddle the drain/refill
+        transient after a configuration switch, hence the settle interval
+        and the wider IPC tolerance.
         """
         # the measurement may only start once the instructions issued under
         # the previous configuration have drained: one full ROB (480) of

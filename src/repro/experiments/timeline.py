@@ -1,9 +1,9 @@
 """Reconfiguration timelines: what a controller did, when.
 
 Wraps any controller and records every active-cluster change with its cycle
-and committed-instruction position, then renders an ASCII strip chart.
-Useful for eyeballing controller behaviour (exploration sweeps, phase
-tracking, fine-grained thrash) without a waveform viewer.
+and committed-instruction position.  The sweep wraps every run's controller
+in one and returns the events on the run's ``RunRecord``, so exploration
+sweeps, phase tracking and fine-grained thrash can be read after the fact.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from typing import List
 
 from ..workloads.instruction import Instr
-
-#: glyph per active-cluster count (log scale: 1..16)
-_GLYPHS = {1: ".", 2: ":", 4: "|", 8: "#", 16: "@"}
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,6 @@ class TimelineRecorder:
     def __init__(self, inner) -> None:
         self.inner = inner
         self.events: List[Reconfiguration] = []
-        #: the machine's width before any event (known once attached)
-        self._initial_clusters = 16
 
     # -- controller interface -------------------------------------------
     @property
@@ -79,7 +74,6 @@ class TimelineRecorder:
         return getattr(self.inner, "needs_dispatch_events", False)
 
     def attach(self, processor) -> None:
-        self._initial_clusters = processor.config.num_clusters
         self.inner.attach(_RecordingProxy(processor, self.events))
 
     def on_commit(self, instr: Instr, cycle: int, distant: bool) -> None:
@@ -87,31 +81,3 @@ class TimelineRecorder:
 
     def on_dispatch(self, instr: Instr, cycle: int) -> None:
         self.inner.on_dispatch(instr, cycle)
-
-    # -- rendering -------------------------------------------------------
-    def render(self, total_committed: int, width: int = 64) -> str:
-        """ASCII strip: one glyph per bucket of committed instructions.
-
-        Legend: ``.`` 1, ``:`` 2, ``|`` 4, ``#`` 8, ``@`` 16 active clusters
-        (nearest glyph for other counts).
-        """
-        if total_committed <= 0 or width <= 0:
-            return ""
-        per_bucket = max(1, total_committed // width)
-        strip = []
-        events = sorted(self.events, key=lambda e: e.committed)
-        current = self._initial_clusters
-        idx = 0
-        for bucket in range(width):
-            boundary = bucket * per_bucket
-            while idx < len(events) and events[idx].committed <= boundary:
-                current = events[idx].clusters
-                idx += 1
-            strip.append(_glyph(current))
-        legend = "  (. 1  : 2  | 4  # 8  @ 16 clusters)"
-        return "".join(strip) + legend
-
-
-def _glyph(clusters: int) -> str:
-    best = min(_GLYPHS, key=lambda k: abs(k - clusters))
-    return _GLYPHS[best]

@@ -11,12 +11,9 @@ Models the centralized front end of the clustered processor (Section 2):
   the redirect travels back to the front end over the interconnect (the
   caller supplies that delay).
 
-By default the simulator is trace driven and fetch simply stalls at a
-misprediction — the cost is the fetch hole until the post-resolution
-redirect.  With ``FrontEndConfig.model_wrong_path`` the unit instead
-fabricates wrong-path instructions (negative trace indices) that occupy
-front-end and window resources until the resolution squashes them, the way
-an execution-driven machine behaves.
+The simulator is trace driven, so the cost of a misprediction is the fetch
+hole until the post-resolution redirect; no wrong-path instructions are
+fetched.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import Deque, Optional, Tuple
 
 from ..config import FrontEndConfig
 from ..stats import SimStats
-from ..workloads.instruction import Instr, OpClass, Trace
+from ..workloads.instruction import Instr, Trace
 from .btb import BranchTargetBuffer
 from .combining import CombiningPredictor
 from .ras import ReturnAddressStack
@@ -60,8 +57,6 @@ class FetchUnit:
         self._stalled_until = 0
         #: trace index of the unresolved mispredicted branch, if any
         self.pending_mispredict: Optional[int] = None
-        # wrong-path instructions carry unique negative indices
-        self._wrong_path_next = -1
 
     # ------------------------------------------------------------------
     # prediction
@@ -97,34 +92,9 @@ class FetchUnit:
     # ------------------------------------------------------------------
     # per-cycle operation
 
-    def _fetch_wrong_path(self, cycle: int) -> None:
-        """Fetch synthetic wrong-path instructions past a misprediction.
-
-        They are plain ALU work with unique negative trace indices — enough
-        to occupy fetch/dispatch bandwidth, issue-queue slots, and registers
-        until the branch resolves and the pipeline squashes them.
-        """
-        cfg = self.config
-        ready_at = cycle + cfg.pipeline_depth
-        fetched = 0
-        while fetched < cfg.fetch_width and len(self._queue) < cfg.fetch_queue_size:
-            instr = Instr(
-                index=self._wrong_path_next,
-                pc=0x7FFF_0000 - 4 * (-self._wrong_path_next % 1024),
-                op=OpClass.INT_ALU,
-            )
-            self._wrong_path_next -= 1
-            self._queue.append((instr, ready_at))
-            fetched += 1
-            self.stats.fetched += 1
-
     def fetch(self, cycle: int) -> None:
         """Fetch up to one cycle's worth of instructions."""
-        if self.pending_mispredict is not None:
-            if self.config.model_wrong_path:
-                self._fetch_wrong_path(cycle)
-            return
-        if cycle < self._stalled_until:
+        if self.pending_mispredict is not None or cycle < self._stalled_until:
             return
         fetched = 0
         branches = 0
@@ -155,15 +125,10 @@ class FetchUnit:
 
     def branch_resolved(self, branch_index: int, resume_cycle: int) -> None:
         """The mispredicted branch ``branch_index`` resolved; fetch may
-        restart at ``resume_cycle`` (resolution + redirect latency).  Any
-        queued wrong-path instructions are discarded with the redirect."""
+        restart at ``resume_cycle`` (resolution + redirect latency)."""
         if self.pending_mispredict == branch_index:
             self.pending_mispredict = None
             self._stalled_until = resume_cycle
-            if self.config.model_wrong_path:
-                self._queue = deque(
-                    entry for entry in self._queue if entry[0].index >= 0
-                )
 
     # ------------------------------------------------------------------
     # dispatch interface

@@ -10,10 +10,9 @@ change *nothing* observable:
    ``fetch`` call chain plus each stage re-hoisting the same attributes.
    The fused loop transcribes the stage bodies inline, hoisting the
    objects that are only ever mutated in place (``rob._entries``,
-   ``_records``, ``_done``, the cluster list, the memory system) once per
-   call.  Objects the pipeline *replaces* mid-run are re-read every cycle
-   exactly where the original re-read them: ``fetch_unit._queue``
-   (rebuilt by ``branch_resolved`` under ``model_wrong_path``) and
+   ``_records``, ``_done``, the fetch queue, the cluster list, the memory
+   system) once per call.  Objects the pipeline *replaces* mid-run are
+   re-read every cycle exactly where the original re-read them:
    ``memory._completions`` (swapped by the drain).
 
 2. **Per-instruction helper fusion.**  The hottest per-instruction
@@ -177,7 +176,6 @@ class FusedCore:
         on_commit = controller.on_commit if controller is not None else None
         wants_dispatch = p._controller_wants_dispatch
         resolve_operand = p._resolve_operand
-        squash_wrong_path = p._squash_wrong_path
         memory_slot_ok = p._memory_slot_ok
         steer = p.steering
         # inline the default heuristic only when it is bound to exactly
@@ -219,9 +217,8 @@ class FusedCore:
         commit_w = p.config.front_end.commit_width
         dispatch_w = p.config.front_end.dispatch_width
         threshold = p.distant_threshold
-        fcfg = fu.config
-        qcap = fcfg.fetch_queue_size
-        wrong = fcfg.model_wrong_path
+        qcap = fu.config.fetch_queue_size
+        q = fu._queue
         trace_len = fu._trace_len
         fetch = fu.fetch
         branch_resolved = fu.branch_resolved
@@ -254,13 +251,13 @@ class FusedCore:
         # is skipped entirely while ``wake_min > cycle`` (the per-cluster
         # guard would have skipped each cluster anyway).  Wake mutations
         # the running scan cannot attribute — an issued instruction's
-        # ``_producer_finished``/``_squash_wrong_path`` fan-out, a drained
-        # completion with waiters, a fault-manager pass — are followed by
-        # an O(num_clusters) re-min over the final values; the dispatch
+        # ``_producer_finished`` fan-out, a drained completion with
+        # waiters, a fault-manager pass — are followed by an
+        # O(num_clusters) re-min over the final values; the dispatch
         # stage's own wake writes are folded in directly.
         wake_min = 0
         while committed_total < target_committed:
-            if not entries and fu._pos >= trace_len and not fu._queue:
+            if not entries and fu._pos >= trace_len and not q:
                 return True  # finished: trace exhausted and ROB drained
             if cycle >= bound:
                 return False
@@ -336,11 +333,7 @@ class FusedCore:
                                     consumer.ready_time = (
                                         a0 if a0 >= a1 else a1
                                     )
-                            if (
-                                consumer.unknown_ops == 0
-                                and not consumer.issued
-                                and not consumer.squashed
-                            ):
+                            if consumer.unknown_ops == 0 and not consumer.issued:
                                 wake = consumer.ready_time
                                 if consumer.earliest_issue > wake:
                                     wake = consumer.earliest_issue
@@ -407,11 +400,6 @@ class FusedCore:
                 for i, rec in enumerate(queue):
                     if rec is None:
                         continue
-                    if rec.squashed:
-                        queue[i] = None
-                        issued_any = True
-                        cluster.on_issue(rec, rec.instr.op)
-                        continue
                     if rec.unknown_ops:
                         continue
                     ready = rec.ready_time
@@ -458,7 +446,6 @@ class FusedCore:
                                         instr.index,
                                         finish + redirect_lat[rec.cluster],
                                     )
-                                    squash_wrong_path()
                                 waiters = rec.waiters
                                 if waiters:
                                     # ---- _producer_finished, same
@@ -507,11 +494,7 @@ class FusedCore:
                                                 consumer.ready_time = (
                                                     a0 if a0 >= a1 else a1
                                                 )
-                                        if (
-                                            consumer.unknown_ops == 0
-                                            and not consumer.issued
-                                            and not consumer.squashed
-                                        ):
+                                        if consumer.unknown_ops == 0 and not consumer.issued:
                                             wake = consumer.ready_time
                                             if consumer.earliest_issue > wake:
                                                 wake = consumer.earliest_issue
@@ -531,7 +514,7 @@ class FusedCore:
                 if next_wake < new_min:
                     new_min = next_wake
               if issued_total:
-                # an issue's producer/squash fan-out may have re-woken
+                # an issue's producer fan-out may have re-woken
                 # clusters behind the scan head: re-min the final values
                 new_min = never
                 for cluster in clusters:
@@ -541,8 +524,6 @@ class FusedCore:
 
             # -- dispatch/steer (choose + _allocate fused in) ----------
             if cycle >= p._dispatch_stalled_until:
-                # re-read: branch_resolved may have rebuilt the queue
-                q = fu._queue
                 dispatched = 0
                 while dispatched < dispatch_w:
                     if not q or q[0][1] > cycle or len(entries) >= rob_size:
@@ -756,12 +737,12 @@ class FusedCore:
                     active = True
 
             # -- fetch (gated exactly on fetch()'s early returns) ------
-            q = fu._queue
-            if fu.pending_mispredict is not None:
-                if wrong and len(q) < qcap:
-                    fetch(cycle)
-                    active = True
-            elif fu._pos < trace_len and cycle >= fu._stalled_until and len(q) < qcap:
+            if (
+                fu.pending_mispredict is None
+                and fu._pos < trace_len
+                and cycle >= fu._stalled_until
+                and len(q) < qcap
+            ):
                 fetch(cycle)
                 active = True
 
@@ -790,11 +771,11 @@ class FusedCore:
                     t = f
             if wake_min < t:
                 t = wake_min
-            q = fu._queue
-            if fu.pending_mispredict is not None:
-                if wrong and len(q) < qcap:
-                    t = nxt
-            elif fu._pos < trace_len and len(q) < qcap:
+            if (
+                fu.pending_mispredict is None
+                and fu._pos < trace_len
+                and len(q) < qcap
+            ):
                 su = fu._stalled_until
                 f = su if su > nxt else nxt
                 if f < t:

@@ -9,8 +9,7 @@ correctness argument rests on, and raises :class:`SimulationError` with
 cycle/instruction context when one fails:
 
 * **ROB commit ordering** — entries sit in dispatch order, trace indices
-  of right-path instructions strictly increase toward the tail (wrong-path
-  instructions carry negative indices), and occupancy never exceeds the
+  strictly increase toward the tail, and occupancy never exceeds the
   configured ROB size.
 * **Cluster occupancy** — per-half issue-queue and register-file counters
   stay within ``[0, capacity]``, the issue-queue counters agree with the
@@ -113,7 +112,7 @@ class InvariantChecker:
         if len(rob) > rob.size:
             self._fail("rob", f"{len(rob)} entries exceed ROB size {rob.size}")
         last_dispatch = -1
-        last_index = None
+        last_index = -1
         for rec in rob:
             if rec.dispatch_cycle < last_dispatch:
                 self._fail(
@@ -124,14 +123,13 @@ class InvariantChecker:
                 )
             last_dispatch = rec.dispatch_cycle
             index = rec.instr.index
-            if index >= 0:
-                if last_index is not None and index <= last_index:
-                    self._fail(
-                        "rob",
-                        f"trace index {index} not younger than {last_index} "
-                        "— commit order broken",
-                    )
-                last_index = index
+            if index <= last_index:
+                self._fail(
+                    "rob",
+                    f"trace index {index} not younger than {last_index} "
+                    "— commit order broken",
+                )
+            last_index = index
 
     def _check_clusters(self) -> None:
         p = self.processor

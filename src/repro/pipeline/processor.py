@@ -257,11 +257,7 @@ class ClusteredProcessor:
             consumer.operand_known(pos, avail)
             # operand arrival may make the consumer issuable: wake its
             # cluster at the earliest cycle the entry could be selected
-            if (
-                consumer.unknown_ops == 0
-                and not consumer.issued
-                and not consumer.squashed
-            ):
+            if consumer.unknown_ops == 0 and not consumer.issued:
                 wake = consumer.ready_time
                 if consumer.earliest_issue > wake:
                     wake = consumer.earliest_issue
@@ -337,12 +333,6 @@ class ClusteredProcessor:
             for i, rec in enumerate(queue):
                 if rec is None:
                     continue
-                if rec.squashed:
-                    # wrong-path leftovers: free the issue-queue slot
-                    queue[i] = None
-                    issued_any = True
-                    cluster.on_issue(rec, rec.instr.op)
-                    continue
                 if (
                     rec.unknown_ops == 0
                     and rec.ready_time <= cycle
@@ -392,34 +382,7 @@ class ClusteredProcessor:
         if op is OpClass.BRANCH and self.fetch_unit.pending_mispredict == instr.index:
             redirect = self.network.uncontended_latency(rec.cluster, self._home)
             self.fetch_unit.branch_resolved(instr.index, finish + redirect)
-            self._squash_wrong_path()
         self._producer_finished(rec)
-
-    def _squash_wrong_path(self) -> None:
-        """Discard everything younger than a resolved misprediction.
-
-        With ``model_wrong_path`` enabled, the only instructions younger
-        than a mispredicted branch are the synthetic wrong-path ones
-        (negative trace indices), sitting contiguously at the ROB tail.
-        Registers are released immediately; occupied issue-queue slots are
-        swept by the select loop on its next pass.
-        """
-        entries = self.rob._entries
-        cycle = self.cycle
-        while entries and entries[-1].instr.index < 0:
-            rec = entries.pop()
-            rec.squashed = True
-            # release the register now; if the record is still waiting in an
-            # issue queue, the select loop frees that slot at the mark
-            cluster = self.clusters[rec.cluster]
-            cluster.on_commit(rec.instr.op, rec.instr.has_dest)
-            if not rec.issued and cycle < cluster.wake_cycle:
-                # wake the cluster so the slot is swept exactly when the
-                # naive scan would have swept it (this cycle for clusters
-                # not yet selected, next cycle for the rest)
-                cluster.wake_cycle = cycle
-            del self._records[rec.instr.index]
-            self.stats.squashed += 1
 
     def _dispatch(self) -> None:
         cycle = self.cycle

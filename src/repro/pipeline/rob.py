@@ -28,7 +28,6 @@ class InFlight:
         "waiters",
         "distant",
         "store_split",
-        "squashed",
     )
 
     def __init__(
@@ -56,13 +55,6 @@ class InFlight:
         #: stores issue on the address operand alone; the data operand
         #: (position 1) only gates completion, as in a real store queue
         self.store_split = instr.is_store
-        #: wrong-path instructions are marked at branch resolution and
-        #: swept out of the issue queues lazily
-        self.squashed = False
-
-    @property
-    def index(self) -> int:
-        return self.instr.index
 
     def operand_known(self, pos: int, avail: int) -> None:
         """Record operand availability; refresh readiness when complete."""
@@ -77,10 +69,6 @@ class InFlight:
             a0 = self.op_avail[0] or 0
             a1 = 0 if self.store_split else (self.op_avail[1] or 0)
             self.ready_time = a0 if a0 >= a1 else a1
-
-    @property
-    def can_commit(self) -> bool:
-        return self.finish_cycle is not None
 
 
 class ReorderBuffer:
@@ -104,12 +92,6 @@ class ReorderBuffer:
         return not self._entries
 
     @property
-    def head(self) -> InFlight:
-        if not self._entries:
-            raise SimulationError("head of an empty ROB")
-        return self._entries[0]
-
-    @property
     def head_index(self) -> int:
         """Trace index of the oldest in-flight instruction."""
         return self._entries[0].instr.index if self._entries else -1
@@ -118,11 +100,6 @@ class ReorderBuffer:
         if self.full:
             raise SimulationError("push to a full ROB")
         self._entries.append(record)
-
-    def pop_head(self) -> InFlight:
-        if not self._entries:
-            raise SimulationError("pop from an empty ROB")
-        return self._entries.popleft()
 
     def __iter__(self):
         return iter(self._entries)

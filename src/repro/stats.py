@@ -25,6 +25,7 @@ class SimStats:
     fetched: int = 0
     dispatched: int = 0
     issued: int = 0
+    #: always 0 (fetch stalls at a misprediction); the stats digests still hash it
     squashed: int = 0
 
     branches: int = 0

@@ -5,18 +5,8 @@ from repro import (
     NoExploreConfig,
     StaticController,
 )
-from repro.experiments.timeline import Reconfiguration, TimelineRecorder, _glyph
+from repro.experiments.timeline import TimelineRecorder
 from repro.pipeline.processor import ClusteredProcessor
-
-
-class TestGlyphs:
-    def test_known_counts(self):
-        assert _glyph(1) == "."
-        assert _glyph(16) == "@"
-
-    def test_nearest_for_odd_counts(self):
-        assert _glyph(3) in (":", "|")
-        assert _glyph(12) in ("#", "@")
 
 
 class TestRecorder:
@@ -46,19 +36,3 @@ class TestRecorder:
 
         rec = TimelineRecorder(FineGrainController())
         assert rec.needs_dispatch_events
-
-    def test_render_strip(self, phased_trace, config16):
-        rec = TimelineRecorder(
-            DistantILPController(NoExploreConfig.scaled(interval_length=500))
-        )
-        proc = ClusteredProcessor(phased_trace, config16, rec)
-        proc.run()
-        strip = rec.render(len(phased_trace), width=32)
-        assert "clusters" in strip
-        body = strip.split("  (")[0]
-        assert len(body) == 32
-        assert set(body) <= {".", ":", "|", "#", "@"}
-
-    def test_render_empty(self):
-        rec = TimelineRecorder(StaticController(4))
-        assert rec.render(0) == ""

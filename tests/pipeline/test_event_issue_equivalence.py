@@ -5,16 +5,13 @@ stages, selects event-driven (skipping clusters until their `wake_cycle`)
 and jumps over idle cycles; the stage-by-stage loop with a full select
 scan survives as ``ClusteredProcessor(..., naive_issue=True)`` precisely so
 this property can be checked forever: for ANY workload shape, machine
-topology, cluster count, controller, and wrong-path setting, the two
-loops must produce byte-for-byte identical statistics.  A single missed
-wakeup or an over-long idle skip shows up here as a cycle-count
-divergence.
+topology, cluster count and controller, the two loops must produce
+byte-for-byte identical statistics.  A single missed wakeup or an
+over-long idle skip shows up here as a cycle-count divergence.
 
 The exhaustive 200-example sweep is `slow` (it runs in the CI slow job);
 a small smoke sample rides in the fast tier.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +39,7 @@ def _build_controller(kind):
 
 
 def _check_equivalence(body, cross, frac_load, branches, seed,
-                       topology, controller_kind, wrong_path):
+                       topology, controller_kind):
     phase = PhaseParams(
         name="h",
         body_size=body,
@@ -56,11 +53,6 @@ def _check_equivalence(body, cross, frac_load, branches, seed,
         Profile(name="h", phases=(phase,), schedule="steady"), 1_500, seed=seed
     )
     config = _CONFIGS[topology](8)
-    if wrong_path:
-        config = dataclasses.replace(
-            config,
-            front_end=dataclasses.replace(config.front_end, model_wrong_path=True),
-        )
     fused = ClusteredProcessor(
         trace, config, _build_controller(controller_kind)
     ).run()
@@ -78,7 +70,6 @@ _equivalence_inputs = given(
     seed=st.integers(min_value=0, max_value=100_000),
     topology=st.sampled_from(sorted(_CONFIGS)),
     controller_kind=st.sampled_from(["none", "static-2", "static-8", "no-explore"]),
-    wrong_path=st.booleans(),
 )
 
 

@@ -14,6 +14,7 @@ from repro.core import StaticController
 from repro.errors import SimulationError
 from repro.pipeline.invariants import invariants_enabled
 from repro.pipeline.processor import ClusteredProcessor
+from repro.workloads.instruction import Instr
 
 
 def config_with_checks(enabled=True, period=64):
@@ -119,9 +120,24 @@ class TestCorruptionIsCaught:
 
     def test_rob_commit_order_violation(self, gzip_trace):
         proc = self.mid_run(gzip_trace)
-        entries = [r for r in proc.rob if r.instr.index >= 0]
+        entries = list(proc.rob)
         assert len(entries) >= 2
         entries[0].dispatch_cycle = entries[-1].dispatch_cycle + 100
+        with pytest.raises(SimulationError, match="commit order"):
+            proc.invariants.check()
+
+    @pytest.mark.parametrize("case", ["repeat", "negative"])
+    def test_rob_trace_index_not_increasing(self, gzip_trace, case):
+        """Dispatch cycles stay in order; only a trace index goes wrong.
+        The entry gets a fresh ``Instr``, so the shared trace is untouched."""
+        proc = self.mid_run(gzip_trace)
+        entries = list(proc.rob)
+        assert len(entries) >= 2
+        if case == "repeat":
+            victim, index = entries[1], entries[0].instr.index
+        else:
+            victim, index = entries[0], -1
+        victim.instr = Instr(index, victim.instr.pc, victim.instr.op)
         with pytest.raises(SimulationError, match="commit order"):
             proc.invariants.check()
 

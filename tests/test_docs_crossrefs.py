@@ -73,6 +73,11 @@ RETIRED = [
         re.compile(r"\brun_trace\((?:\s*[\w.()\"']+\s*,){3}\s*[\w.()\"']+"),
         "run_trace(trace, config, controller, warmup=...)",
     ),
+    (
+        "wrong-path fetch",
+        re.compile(r"\bmodel_wrong_path\b|\bwrong_path_ablation\b"),
+        "fetch stalls at a misprediction; there is no wrong-path mode",
+    ),
 ]
 
 #: docs/<NAME>.md references must resolve against the real docs tree
@@ -169,6 +174,7 @@ def test_lint_catches_retired_spellings():
         "positional run_trace controller-plus-warmup": (
             "run_trace(trace, config, controller, 4000)"
         ),
+        "wrong-path fetch": "FrontEndConfig(model_wrong_path=True)",
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"
