@@ -91,7 +91,6 @@ from ..workloads.generator import generate_trace
 from ..workloads.profiles import get_profile
 from .journal import SweepJournal
 from .runner import DEFAULT_WARMUP, RunResult, run_trace
-from .timeline import Reconfiguration, TimelineRecorder
 
 #: environment knob: cache directory (default ``~/.cache/repro``)
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -312,8 +311,6 @@ class RunRecord:
     #: per-thread detail of a multiprogrammed run (``result`` then carries
     #: the aggregate: throughput IPC over global cycles, merged stats)
     multiprog_result: Optional[MultiProgResult] = None
-    #: every active-cluster change, in commit order (determinism evidence)
-    events: Tuple[Reconfiguration, ...] = ()
     error: str = ""
     attempts: int = 1
     duration: float = 0.0
@@ -342,21 +339,37 @@ class RunRecord:
 # worker side
 
 
-#: per-worker-process trace memo, shared by single-thread runs and the
-#: threads of multiprogrammed runs; traces are large, so keep only a few
+#: the traces of the spec this process runs now, by :func:`_trace_keys`
+#: key.  Each spec keeps only its own traces, :meth:`SweepRunner.run`
+#: groups specs that share a trace so it is built once, and empties the
+#: memo before returning.
 _TRACE_MEMO: Dict[Tuple[str, int, int], object] = {}
-_TRACE_MEMO_LIMIT = 8
 
 
-def _trace_for(profile: str, length: int, seed: int):
-    key = (profile, length, seed)
-    trace = _TRACE_MEMO.get(key)
-    if trace is None:
-        trace = generate_trace(get_profile(profile), length, seed)
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
+def _trace_keys(spec: RunSpec) -> List[Tuple[str, int, int]]:
+    """The ``(profile, trace_length, seed)`` of every trace ``spec`` runs:
+    one for a single-thread spec, one per thread of a multiprog spec."""
+    mp_spec = spec.multiprog
+    if mp_spec is None:
+        return [(spec.profile, spec.trace_length, spec.seed)]
+    return [
+        (workload, mp_spec.trace_length, thread_seed(mp_spec.seed, i))
+        for i, workload in enumerate(mp_spec.workloads)
+    ]
+
+
+def _traces_for(spec: RunSpec) -> list:
+    """The traces ``spec`` runs; the memo then holds exactly these."""
+    keys = _trace_keys(spec)
+    kept = {key: _TRACE_MEMO.get(key) for key in keys}
+    # drop the previous spec's traces before building this one's
+    _TRACE_MEMO.clear()
+    for key, trace in kept.items():
+        if trace is None:
+            profile, length, seed = key
+            trace = generate_trace(get_profile(profile), length, seed)
         _TRACE_MEMO[key] = trace
-    return trace
+    return [_TRACE_MEMO[key] for key in keys]
 
 
 class _RunTimeout(Exception):
@@ -389,11 +402,7 @@ def _run_multiprog_spec(spec: RunSpec) -> RunRecord:
     """Worker-side execution of a multiprogrammed spec."""
     start = time.perf_counter()
     mp_spec = spec.multiprog
-    traces = [
-        _trace_for(workload, mp_spec.trace_length, thread_seed(mp_spec.seed, i))
-        for i, workload in enumerate(mp_spec.workloads)
-    ]
-    mp = run_multiprog(mp_spec, traces=traces)
+    mp = run_multiprog(mp_spec, traces=_traces_for(spec))
     stats = mp.stats
     # aggregate view: throughput over *global* cycles; "reconfigurations"
     # counts arbiter actions, the multiprog analogue of cluster changes
@@ -424,7 +433,7 @@ def _run_spec(spec: RunSpec) -> RunRecord:
     if spec.multiprog is not None:
         return _run_multiprog_spec(spec)
     start = time.perf_counter()
-    trace = _trace_for(spec.profile, spec.trace_length, spec.seed)
+    [trace] = _traces_for(spec)
 
     if spec.record_granularity is not None:
         from ..core.instability import record_intervals
@@ -437,13 +446,11 @@ def _run_spec(spec: RunSpec) -> RunRecord:
             duration=time.perf_counter() - start,
         )
 
-    controller = spec.controller.build()
-    recorder = TimelineRecorder(controller) if controller is not None else None
     steering = _build_steering(spec.steering) if spec.steering else None
     result = run_trace(
         trace,
         spec.config,
-        recorder if recorder is not None else None,
+        spec.controller.build(),
         warmup=spec.warmup,
         label=spec.label,
         steering=steering,
@@ -454,7 +461,6 @@ def _run_spec(spec: RunSpec) -> RunRecord:
         spec=spec,
         status="ok",
         result=result,
-        events=tuple(recorder.events) if recorder else (),
         duration=time.perf_counter() - start,
     )
 
@@ -879,6 +885,11 @@ class SweepRunner:
     def run(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
         """Execute every spec; results come back in input order.
 
+        Specs that share a trace run back to back (a stable sort by the
+        first appearance of each spec's trace keys), so each trace is
+        built once per worker and only the running spec's traces are
+        held; the trace memo is emptied before returning.
+
         Failures are *returned*, not raised — callers that need a complete
         matrix should check :attr:`RunRecord.ok` (or use
         :func:`require_ok`).
@@ -915,9 +926,18 @@ class SweepRunner:
                     self.metrics.cache_misses += 1
                 pending.append((i, spec))
 
-        with self._signal_drain():
-            if pending:
-                self._execute(pending, records)
+        first: Dict[Tuple[str, int, int], int] = {}
+        group = {
+            index: min(first.setdefault(key, len(first)) for key in _trace_keys(spec))
+            for index, spec in pending
+        }
+        pending.sort(key=lambda item: group[item[0]])
+        try:
+            with self._signal_drain():
+                if pending:
+                    self._execute(pending, records)
+        finally:
+            _TRACE_MEMO.clear()
 
         self.metrics.wall_seconds += time.perf_counter() - start
         self._export_trace()

@@ -143,10 +143,6 @@ class FetchUnit:
         return self._queue.popleft()[0]
 
     @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    @property
     def exhausted(self) -> bool:
         """True when the whole trace has been fetched and drained."""
         return self._pos >= len(self.trace) and not self._queue

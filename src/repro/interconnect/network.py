@@ -279,3 +279,6 @@ class Network:
                 arrivals[dst] = self.transfer(src, dst, start_cycle, kind)
         return arrivals
 
+    def forget_before(self, horizon: int) -> None:
+        """Drop link bookings before ``horizon`` (see :mod:`repro.timing`)."""
+        self._links.forget_before(horizon)

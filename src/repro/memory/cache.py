@@ -96,3 +96,7 @@ class BankScheduler:
     def reserve(self, bank: int, earliest: int) -> int:
         """The cycle at which the access actually starts."""
         return self._slots.reserve(bank, earliest)
+
+    def forget_before(self, horizon: int) -> None:
+        """Drop port bookings before ``horizon`` (see :mod:`repro.timing`)."""
+        self._slots.forget_before(horizon)

@@ -15,6 +15,8 @@ backed by a 160-cycle memory (Table 1).  The processor talks to a
 * ``set_banks(banks, cycle)`` — reconfiguration/fault hook naming the
   dispatch-eligible bank clusters; the decentralized cache must flush
   (returns the stall in cycles).
+* ``forget_before(horizon)`` — drop bank-port and L2-port bookings before
+  the ROB head's dispatch cycle (see :mod:`repro.timing`).
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ class MemorySystem:
         self.active_clusters = len(tuple(banks))
         return 0
 
+    def forget_before(self, horizon: int) -> None:
+        """Drop port bookings before ``horizon``: no later access starts
+        earlier (see :mod:`repro.timing`)."""
+        self.l2.port.forget_before(horizon)
+
 
 class CentralizedMemory(MemorySystem):
     """Section 2.1: word-interleaved central cache + central LSQ at home."""
@@ -193,6 +200,10 @@ class CentralizedMemory(MemorySystem):
         else:
             self.stats.l1_misses += 1
             self.l2.access(access.addr, begin + l1cfg.latency, is_write=False)
+
+    def forget_before(self, horizon: int) -> None:
+        super().forget_before(horizon)
+        self.banks.forget_before(horizon)
 
 
 class DecentralizedMemory(MemorySystem):
@@ -340,6 +351,10 @@ class DecentralizedMemory(MemorySystem):
 
     def tick(self, cycle: int) -> None:
         self.lsq.tick(cycle)
+
+    def forget_before(self, horizon: int) -> None:
+        super().forget_before(horizon)
+        self.ports.forget_before(horizon)
 
     # -- reconfiguration / fault remap ---------------------------------
     def set_banks(self, banks, cycle: int) -> int:

@@ -46,14 +46,23 @@ change *nothing* observable:
    no-work cycle has (``cluster_cycle_product`` accumulation) in closed
    form.
 
-Two further exact caches ride on the same absolute-cycle property: the
-LSQ capacity gates and bank-predictor steering hints are inlined per
-memory organization (the decentralized gate's speculative token is
-minted exactly once per instruction, call-for-call where the original
-minted it), and a *wake-front* lower bound over the clusters'
-``wake_cycle`` values lets the issue scan be skipped entirely while no
-cluster can wake — re-derived in O(clusters) at every site that writes
-a wake.
+Three further exact caches ride on the same absolute-cycle property:
+
+* the LSQ capacity gates and bank-predictor steering hints are inlined
+  per memory organization (the decentralized gate's speculative token is
+  minted exactly once per instruction, call-for-call where the original
+  minted it);
+* a *wake-front* lower bound over the clusters' ``wake_cycle`` values
+  lets the issue scan be skipped entirely while no cluster can wake —
+  re-derived in O(clusters) at every site that writes a wake;
+* every ``_PRUNE_EVERY`` commits the link, bank-port and L2-port
+  calendars forget their bookings before the ROB head's dispatch cycle
+  (the current cycle when the ROB is empty).  No later request starts
+  earlier — see :mod:`repro.timing` — and each calendar refuses one that
+  does, so a pruned run grants the same slots as one that keeps every
+  booking, while its memory stays bounded by the work in flight.  The
+  next prune point lives on the processor, so runs advanced in short
+  chunks prune too.  The reference loop keeps full calendars.
 
 The skip probe is deliberately conservative — correctness never depends
 on skipping:
@@ -104,6 +113,10 @@ _EXEC_LAT = tuple(EXEC_LATENCY[op] for op in OpClass)
 
 #: cluster wake / next-event sentinel: far beyond any reachable cycle
 _NEVER = 1 << 60
+
+#: commits between booking prunes: a 1,500-instruction run prunes five
+#: times, and a prune scans only the bookings of the work in flight
+_PRUNE_EVERY = 256
 
 _LOAD = OpClass.LOAD
 _STORE = OpClass.STORE
@@ -213,6 +226,8 @@ class FusedCore:
             mem_mode = 0
         mem_commit = mem.commit
         mem_dispatch = mem.dispatch
+        mem_forget = mem.forget_before
+        net_forget = p.network.forget_before
         mem_address_ready = mem.address_ready
         commit_w = p.config.front_end.commit_width
         dispatch_w = p.config.front_end.dispatch_width
@@ -378,6 +393,13 @@ class FusedCore:
                             break
                     committed_total = stats.committed
                     active = True
+                    if committed_total >= p._next_prune:
+                        p._next_prune = committed_total + _PRUNE_EVERY
+                        horizon = (
+                            entries[0].dispatch_cycle if entries else cycle
+                        )
+                        net_forget(horizon)
+                        mem_forget(horizon)
 
             # -- issue/select (event-driven, _do_issue fused in) -------
             if wake_min <= cycle:

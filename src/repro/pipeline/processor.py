@@ -39,7 +39,7 @@ from ..observability.tracer import NULL_TRACER, Tracer
 from ..resilience.manager import FaultManager
 from ..stats import SimStats
 from ..workloads.instruction import Instr, OpClass, Trace
-from .fused import _EXEC_LAT, _NEVER, FusedCore
+from .fused import _EXEC_LAT, _NEVER, _PRUNE_EVERY, FusedCore
 from .invariants import InvariantChecker, invariants_enabled
 from .rob import InFlight, ReorderBuffer
 
@@ -140,6 +140,9 @@ class ClusteredProcessor:
 
         #: the production cycle loop (None: the reference loop runs)
         self._core = None if naive_issue else FusedCore(self)
+        #: committed count at which the fused loop next forgets the link
+        #: and port bookings older than the ROB head (see repro.timing)
+        self._next_prune = _PRUNE_EVERY
 
     # ------------------------------------------------------------------
     # reconfiguration interface (used by controllers)

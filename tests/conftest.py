@@ -16,6 +16,14 @@ from repro.workloads.blocks import PhaseParams
 from repro.workloads.generator import Profile
 
 
+@pytest.fixture(autouse=True)
+def _result_cache_in_tmp_path(tmp_path, monkeypatch):
+    """Point the default sweep result cache into the test's own directory,
+    so no test reads or writes ``~/.cache/repro`` (tests that name a cache
+    directory override this)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
 @pytest.fixture(scope="session")
 def parallel_phase() -> PhaseParams:
     """A distant-ILP-rich phase (independent iterations, wide trees)."""

@@ -99,7 +99,9 @@ class TestKillAndResume:
 
         reference = SweepRunner(SweepConfig(jobs=1, use_cache=False)).run(specs)
         assert snapshot(records) == snapshot(reference)
-        assert [r.events for r in records] == [r.events for r in reference]
+        assert [r.result.stats for r in records] == [
+            r.result.stats for r in reference
+        ]
 
 
 class TestSignalDrain:

@@ -1,9 +1,8 @@
 """SweepRunner: parallel fan-out, result caching, failure handling.
 
 The hard requirement under test: a parallel sweep is *bit-identical* to
-the serial loop it replaced — same SimStats, same IPC, same
-reconfiguration event sequence — and the cache returns exactly what the
-simulation would have produced.
+the serial loop it replaced — same SimStats, same IPC — and the cache
+returns exactly what the simulation would have produced.
 """
 
 import dataclasses
@@ -14,12 +13,18 @@ import pickle
 import subprocess
 import sys
 import time
+import weakref
+from unittest import mock
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.api import sweep
 from repro.config import decentralized_config, default_config
 from repro.core import ExploreConfig, NoExploreConfig, StaticController
+from repro.experiments import sweep as sweep_module
 from repro.experiments.runner import run_trace
 from repro.experiments.sweep import (
     CACHE_KEY_EXEMPT,
@@ -287,6 +292,108 @@ class TestFinishedRunsAreFreed:
         assert survivors == []
 
 
+class TestControllerHooks:
+    def test_faulted_controller_spec_matches_run_trace(self):
+        """The sweep hands the built controller to run_trace itself, so
+        every hook fires, ``on_fault`` included: a faulted explore spec
+        equals the same run through run_trace."""
+        spec = dataclasses.replace(
+            spec_for("swim", ControllerSpec.explore()),
+            warmup=0,
+            faults=FaultSchedule((
+                FaultEvent(cycle=300, kind="cluster_kill", cluster=3),
+                FaultEvent(cycle=900, kind="cluster_restore", cluster=3),
+            )),
+        )
+        record = execute_spec(spec)
+        direct = run_trace(
+            generate_trace(get_profile("swim"), LEN, seed=spec.seed),
+            spec.config,
+            spec.controller.build(),
+            warmup=0,
+            fault_schedule=spec.faults,
+        )
+        assert record.ok, record.error
+        assert record.result.stats == direct.stats
+
+
+#: three profiles x three controllers, plus a co-schedule whose first
+#: thread runs the same gzip trace as the single-thread gzip specs
+_GROUPED_SPECS = [
+    dataclasses.replace(
+        spec_for(profile, scheme, length=1_200), warmup=200, label=f"{profile}/{name}"
+    )
+    for profile in ("gzip", "swim", "vpr")
+    for name, scheme in (
+        ("static-4", ControllerSpec.static(4)),
+        ("static-16", ControllerSpec.static(16)),
+        ("no-explore", ControllerSpec.no_explore(NoExploreConfig.scaled())),
+    )
+] + [
+    multiprog_run_spec(
+        MultiProgSpec(
+            workloads=("gzip", "swim"), trace_length=1_200, seed=7, epoch_cycles=400
+        )
+    )
+]
+
+
+def _serial_sweep(specs):
+    return SweepRunner(SweepConfig(backend="serial", use_cache=False)).run(specs)
+
+
+class TestTraceLifetime:
+    """A sweep keeps only the running spec's traces: specs that share a
+    trace run back to back, so each trace is built once, and nothing is
+    left in the memo once the sweep returns."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _serial_sweep(_GROUPED_SPECS)
+
+    # each example runs a ten-spec sweep: report a failing order as found
+    # rather than spend minutes shrinking it
+    @given(order=st.permutations(range(len(_GROUPED_SPECS))))
+    @settings(max_examples=6, deadline=None, phases=[Phase.generate])
+    def test_any_order_builds_each_trace_once(self, reference, order):
+        specs = [_GROUPED_SPECS[i] for i in order]
+        with mock.patch.object(
+            sweep_module, "generate_trace", wraps=generate_trace
+        ) as built:
+            records = _serial_sweep(specs)
+        keys = [(c.args[0].name, c.args[1], c.args[2]) for c in built.call_args_list]
+        # gzip, swim and vpr at seed 7, and the co-schedule's thread-1 swim
+        assert len(keys) == len(set(keys)) == 4
+        assert [r.spec for r in records] == specs
+        assert [r.result.stats for r in records] == [
+            reference[i].result.stats for i in order
+        ]
+
+    def test_no_trace_outlives_the_sweep(self):
+        built = []
+
+        def tracked(*args, **kwargs):
+            trace = generate_trace(*args, **kwargs)
+            built.append(weakref.ref(trace))
+            return trace
+
+        gc.collect()
+        gc.disable()
+        try:
+            with mock.patch.object(sweep_module, "generate_trace", tracked):
+                result = sweep(
+                    _GROUPED_SPECS[:4] + _GROUPED_SPECS[-1:],
+                    backend="serial",
+                    cache=False,
+                )
+            alive = [ref for ref in built if ref() is not None]
+        finally:
+            gc.enable()
+        assert all(record.ok for record in result.records)
+        assert len(built) == 3
+        assert alive == []
+
+
 class TestTimeoutWithoutSigalrm:
     def test_non_main_thread_runs_unbounded_instead_of_crashing(self):
         """SIGALRM cannot be armed outside the main thread (or off Unix);
@@ -315,7 +422,7 @@ class TestResultCache:
         [second] = runner.run([spec_for()])
         assert not first.from_cache and second.from_cache
         assert second.result.stats.snapshot() == first.result.stats.snapshot()
-        assert second.events == first.events
+        assert second.result.stats == first.result.stats
         assert runner.metrics.cache_hits == 1
 
     def test_hit_rewrites_label_for_the_requesting_exhibit(self, tmp_path):
@@ -426,14 +533,13 @@ class TestDeterminism:
             assert p.result.ipc == s.result.ipc
             assert p.result.cycles == s.result.cycles
             assert p.result.stats.reconfigurations == s.result.stats.reconfigurations
-            # the full reconfiguration event sequence, cycle for cycle
-            assert p.events == s.events
+            # every counter, not only the reconfiguration count
+            assert p.result.stats == s.result.stats
 
     def test_serial_repeat_is_identical(self, serial_records):
         again = SweepRunner(SweepConfig(jobs=1, use_cache=False)).run(self.specs())
         for a, b in zip(serial_records, again):
-            assert a.result.stats.snapshot() == b.result.stats.snapshot()
-            assert a.events == b.events
+            assert a.result.stats == b.result.stats
 
 
 class TestMergeableStats:

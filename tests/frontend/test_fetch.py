@@ -28,7 +28,7 @@ class TestBandwidth:
         trace = _trace([_alu(i) for i in range(20)])
         f = _unit(trace)
         f.fetch(1)
-        assert f.queue_length == 8
+        assert len(f._queue) == 8
 
     def test_two_basic_blocks_per_cycle(self):
         instrs = []
@@ -44,14 +44,14 @@ class TestBandwidth:
                 f.predictor.update(pc, False)
         f.fetch(1)
         # stops after the second branch (index 5), even though width is 8
-        assert f.queue_length == 6
+        assert len(f._queue) == 6
 
     def test_queue_capacity(self):
         trace = _trace([_alu(i) for i in range(200)])
         f = _unit(trace, fetch_queue_size=16)
         for cycle in range(1, 10):
             f.fetch(cycle)
-        assert f.queue_length == 16
+        assert len(f._queue) == 16
 
 
 class TestPipelineDepth:
@@ -83,14 +83,14 @@ class TestMisprediction:
         f = _unit(self._mispredicting_trace())
         f.fetch(1)
         assert f.pending_mispredict == 1
-        assert f.queue_length == 2  # the branch itself was fetched
+        assert len(f._queue) == 2  # the branch itself was fetched
         f.fetch(2)
-        assert f.queue_length == 2  # stalled
+        assert len(f._queue) == 2  # stalled
         f.branch_resolved(1, resume_cycle=20)
         f.fetch(10)
-        assert f.queue_length == 2  # still before resume
+        assert len(f._queue) == 2  # still before resume
         f.fetch(20)
-        assert f.queue_length == 4
+        assert len(f._queue) == 4
 
     def test_mispredict_counted(self):
         f = _unit(self._mispredicting_trace())

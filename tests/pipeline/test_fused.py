@@ -9,6 +9,10 @@
 * **run_trace's lifecycle** (fused warmup leg, then ``run()``) matches the
   same lifecycle driven on the naive reference loop, including the
   commit bound and the warmup clamp on tiny traces.
+* **The booking horizon.**  The fused loop forgets link and port bookings
+  older than the ROB head's dispatch, so a run holds what its work in
+  flight booked, not what its whole trace booked; the exactness suites
+  all run with pruning on.
 """
 
 import dataclasses
@@ -21,8 +25,9 @@ from repro.config import decentralized_config, default_config, torus_config
 from repro.core import DistantILPController, NoExploreConfig, StaticController
 from repro.errors import SimulationError
 from repro.experiments.runner import run_trace
+from repro.memory.hierarchy import DecentralizedMemory
 from repro.observability import MemoryTracer
-from repro.pipeline.fused import FusedCore
+from repro.pipeline.fused import _PRUNE_EVERY, FusedCore
 from repro.pipeline.processor import ClusteredProcessor
 from repro.resilience import FaultEvent, FaultSchedule
 from repro.workloads import generate_trace, get_profile
@@ -173,3 +178,48 @@ class TestFusedCoreGuards:
         )
         with pytest.raises(SimulationError, match="naive_issue"):
             FusedCore(processor)
+
+
+def _reservers(p):
+    """The link, L1-port and L2-port calendars of a processor."""
+    memory = p.memory
+    ports = memory.ports if isinstance(memory, DecentralizedMemory) else memory.banks
+    return (p.network._links, ports._slots, memory.l2.port._slots)
+
+
+def _bookings(p):
+    return sum(len(calendar) for r in _reservers(p) for calendar in r._booked)
+
+
+class TestBookingHorizon:
+    @staticmethod
+    def _swim_static16(length, naive_issue=False):
+        trace = generate_trace(get_profile("swim"), length, seed=7)
+        p = ClusteredProcessor(
+            trace, decentralized_config(16), StaticController(16),
+            naive_issue=naive_issue,
+        )
+        p.run()
+        return p
+
+    def test_kept_bookings_do_not_grow_with_the_trace(self):
+        """A 16k-instruction run ends holding fewer bookings than a 4k run
+        makes in all (the reference loop keeps every booking it made)."""
+        booked_4k = _bookings(self._swim_static16(4_000, naive_issue=True))
+        kept_16k = _bookings(self._swim_static16(16_000))
+        assert kept_16k < booked_4k
+
+    @pytest.mark.parametrize("topology", ["ring", "decentralized"])
+    def test_floor_advances_in_a_short_run(self, topology):
+        """The fingerprint trace length (3k) moves every calendar's floor,
+        the naive-vs-fused examples (1,500 instructions) prune at least
+        five times, and the reference loop never prunes."""
+        trace = generate_trace(get_profile("gzip"), 3_000, seed=13)
+        fused = ClusteredProcessor(trace, _CONFIGS[topology](16))
+        fused.run()
+        naive = ClusteredProcessor(trace, _CONFIGS[topology](16), naive_issue=True)
+        naive.run()
+        assert fused.stats == naive.stats
+        assert all(r._floor > 0 for r in _reservers(fused))
+        assert all(r._floor == 0 for r in _reservers(naive))
+        assert 1_500 // _PRUNE_EVERY >= 5

@@ -71,6 +71,17 @@ class TestCommands:
         assert rc == 0
         assert "Table 3" in capsys.readouterr().out
 
+    def test_exhibits_leave_home_untouched(self, capsys, tmp_path, monkeypatch):
+        """The two exhibit runs above, with the default result cache: the
+        suite keeps it in the test's own directory, never under $HOME."""
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        assert main(["figure3", "--benchmarks", "gzip", "--length", "4000"]) == 0
+        assert main(["table3", "--benchmarks", "swim", "--length", "4000"]) == 0
+        capsys.readouterr()
+        assert list(home.iterdir()) == []
+
     def test_exhibit_jobs_and_no_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         rc = main(["figure3", "--benchmarks", "gzip", "--length", "4000",

@@ -78,6 +78,14 @@ RETIRED = [
         re.compile(r"\bmodel_wrong_path\b|\bwrong_path_ablation\b"),
         "fetch stalls at a misprediction; there is no wrong-path mode",
     ),
+    (
+        "timeline recorder",
+        re.compile(
+            r"\bTimelineRecorder\b|\bexperiments\.timeline\b"
+            r"|\bexperiments/timeline\.py\b|\bRunRecord\.events\b"
+        ),
+        "a tracer's reconfig events (repro.observability)",
+    ),
 ]
 
 #: docs/<NAME>.md references must resolve against the real docs tree
@@ -175,6 +183,7 @@ def test_lint_catches_retired_spellings():
             "run_trace(trace, config, controller, 4000)"
         ),
         "wrong-path fetch": "FrontEndConfig(model_wrong_path=True)",
+        "timeline recorder": "from repro.experiments.timeline import TimelineRecorder",
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"

@@ -20,7 +20,7 @@ from repro.config import (
 )
 from repro.experiments.runner import run_trace
 from repro.experiments.sweep import ControllerSpec, RunSpec, execute_spec
-from repro.experiments.timeline import Reconfiguration, TimelineRecorder
+from repro.observability import MemoryTracer
 from repro.stats import SimStats
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import get_profile
@@ -96,20 +96,25 @@ class TestResults:
         assert clone.ipc == result.ipc
         assert clone.stats.snapshot() == result.stats.snapshot()
 
-    def test_attached_timeline_recorder_roundtrip(self):
-        """The recorder (and its proxy) must survive pickling even while
-        attached to a live processor — workers build this exact object."""
+    def test_attached_controller_roundtrip(self):
+        """A controller survives pickling while attached to the processor
+        it ran, and its tracer keeps the reconfiguration sequence."""
         trace = generate_trace(get_profile("swim"), LEN, seed=7)
-        recorder = TimelineRecorder(ControllerSpec.explore().build())
-        result = run_trace(trace, default_config(16), recorder, warmup=500)
+        controller = ControllerSpec.explore().build()
+        result = run_trace(
+            trace, default_config(16), controller, warmup=500,
+            tracer=MemoryTracer(),
+        )
         assert result.committed > 0
-        clone = roundtrip(recorder)
-        assert clone.events == recorder.events
-        assert type(clone.inner) is type(recorder.inner)
+        clone = roundtrip(controller)
 
-    def test_reconfiguration_event_roundtrip(self):
-        event = Reconfiguration(cycle=10, committed=5, clusters=8)
-        assert roundtrip(event) == event
+        def reconfigs(ctl):
+            return [e for e in ctl.tracer.events if e["kind"] == "reconfig"]
+
+        assert reconfigs(controller)
+        assert reconfigs(clone) == reconfigs(controller)
+        assert type(clone) is type(controller)
+        assert clone.processor.stats == controller.processor.stats
 
 
 def dataclass_values(obj):
@@ -152,7 +157,7 @@ class TestSweepTypes:
         clone = roundtrip(record)
         assert clone.status == "ok"
         assert clone.result.stats.snapshot() == record.result.stats.snapshot()
-        assert clone.events == record.events
+        assert clone.result.stats == record.result.stats
 
     def test_failed_record_roundtrip(self):
         record = execute_spec(RunSpec(profile="not-a-benchmark", trace_length=LEN))

@@ -80,3 +80,62 @@ class TestProperties:
                 expected += 1
             assert got == expected
             booked.add(got)
+
+
+#: one step of a pruned-calendar sequence: ("reserve", resource, cycles
+#: above the floor) or ("forget", cycles to move the horizon past the floor)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("reserve"),
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=30),
+        ),
+        st.tuples(st.just("forget"), st.integers(min_value=-5, max_value=25)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestForgetBefore:
+    """Pruning is invisible: a calendar that forgets bookings below its
+    floor grants what one keeping every booking grants, for any request
+    at or above the floor."""
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    @given(steps=_STEPS)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_an_unpruned_calendar(self, capacity, steps):
+        pruned = SlotReserver(2, capacity)
+        full = SlotReserver(2, capacity)
+        floor = 0
+        for step in steps:
+            if step[0] == "forget":
+                horizon = floor + step[1]
+                pruned.forget_before(horizon)
+                floor = max(floor, horizon)
+                assert all(
+                    cycle >= floor for calendar in pruned._booked for cycle in calendar
+                )
+            else:
+                _, resource, above = step
+                earliest = floor + above
+                assert pruned.reserve(resource, earliest) == full.reserve(
+                    resource, earliest
+                )
+
+    def test_request_below_the_floor_raises(self):
+        r = SlotReserver(1)
+        r.reserve(0, 5)
+        r.forget_before(10)
+        with pytest.raises(ValueError, match="below the booking floor"):
+            r.reserve(0, 9)
+        assert r.reserve(0, 10) == 10
+
+    def test_floor_never_moves_back(self):
+        r = SlotReserver(1)
+        r.forget_before(10)
+        r.forget_before(4)
+        with pytest.raises(ValueError):
+            r.reserve(0, 9)
