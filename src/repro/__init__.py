@@ -20,10 +20,8 @@ checkpointing:
 ...                  for n in (4, 16)], jobs=2)  # doctest: +SKIP
 
 The re-exports below resolve lazily (PEP 562): ``import repro`` pays for
-nothing until an attribute is touched, and standalone tooling that lives
-under this package — ``python -m repro.analysis`` in particular — keeps
-working even when the simulator stack itself cannot import (that linter's
-whole job is diagnosing such trees).
+nothing until an attribute is touched, so importing one submodule (say
+``repro.config``) does not load the simulator stack.
 """
 
 from importlib import import_module

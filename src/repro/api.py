@@ -66,7 +66,7 @@ from .multiprog import MultiProgResult, MultiProgSpec, run_multiprog
 from .resilience import FaultSchedule
 from .stats import SimStats
 from .workloads.instruction import Trace
-from .workloads.profiles import get_profile
+from .workloads.profiles import BENCHMARK_NAMES, get_profile
 
 __all__ = [
     "MultiProgResult",
@@ -99,9 +99,10 @@ class SimSpec:
     """Declarative description of one simulation in the facade vocabulary.
 
     Every field has a sensible default except ``workload``; see the module
-    docstring for the vocabulary.  ``processor`` overrides
-    ``topology``/``clusters`` with an explicit
-    :class:`~repro.config.ProcessorConfig`.
+    docstring for the vocabulary.  A profile name that is not one of the
+    nine profiles raises :class:`~repro.errors.ConfigError` here, before
+    any run.  ``processor`` overrides ``topology``/``clusters`` with an
+    explicit :class:`~repro.config.ProcessorConfig`.
     """
 
     workload: Union[str, Trace]
@@ -119,6 +120,13 @@ class SimSpec:
     #: the declared faults — see ``docs/RESILIENCE.md``
     faults: Optional[FaultSchedule] = None
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if isinstance(self.workload, str) and self.workload not in BENCHMARK_NAMES:
+            raise ConfigError(
+                f"unknown workload {self.workload!r}; choose from "
+                f"{BENCHMARK_NAMES}"
+            )
 
     def resolved_label(self) -> str:
         if self.label:

@@ -9,10 +9,6 @@ Examples::
     python -m repro figure3 --length 20000        # regenerate an exhibit
     python -m repro figure5 --jobs 4 --resume     # restart a killed sweep
     python -m repro table4 --benchmarks swim,crafty
-
-The static-analysis pass is a separate entry point (it must work even on
-an import-broken tree): ``python -m repro.analysis`` — see
-``docs/ANALYSIS.md``.
 """
 
 from __future__ import annotations
@@ -89,14 +85,8 @@ architectural faults:
                                              controllers (--benchmarks names
                                              the one carrier benchmark)
 
-other tools:
-  python -m repro.analysis [PATH ...]        static-analysis pass: determinism
-                                             (D1xx), layering (L2xx), and
-                                             stats/vocabulary (S3xx) rules
-
 docs: docs/SWEEPS.md (sweep engine), docs/OBSERVABILITY.md (tracing),
-docs/MULTIPROG.md (co-scheduling), docs/ANALYSIS.md (linter),
-docs/ARCHITECTURE.md (package map)
+docs/MULTIPROG.md (co-scheduling), docs/ARCHITECTURE.md (package map)
 """
 
 

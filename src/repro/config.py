@@ -25,8 +25,8 @@ from .errors import ConfigError
 #
 # This module (plus repro.faults, which owns the fault-plan channel) is
 # the only place allowed to touch os.environ: ad-hoc environment reads
-# are invisible configuration, and the D105 static-analysis rule flags
-# them everywhere else.  Callers document their switch with a module
+# are invisible configuration, and tests/test_config.py fails on them
+# everywhere else.  Callers document their switch with a module
 # constant and read it through these helpers.
 
 #: values meaning "off" for boolean environment switches

@@ -851,7 +851,7 @@ class SweepRunner:
         self.retry_backoff = float(self.config.retry_backoff)
         # Fixed-seed RNG: jitter only needs to decorrelate successive
         # retries, and an ambient random.uniform() would make the one
-        # nondeterministic corner of the sweep engine (flagged by D101)
+        # nondeterministic corner of the sweep engine
         self._backoff_rng = random.Random(0x0B5EED)
         journal = self.config.journal
         if journal is not None and not isinstance(journal, SweepJournal):

@@ -99,7 +99,7 @@ class CentralizedLSQ:
         # Order-independent any-match over int indices: the result cannot
         # depend on hash iteration order, and sorting here would cost the
         # hot path for nothing.
-        for index in self._unresolved_stores:  # repro: allow[D103]
+        for index in self._unresolved_stores:
             if index < load.index and entries[index].word == word:
                 return True
         return False

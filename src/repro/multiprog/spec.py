@@ -8,6 +8,7 @@ from typing import Optional, Sequence, Tuple
 from ..errors import ConfigError
 from ..resilience import FaultSchedule
 from ..stats import SimStats
+from ..workloads.profiles import BENCHMARK_NAMES
 
 #: fabrics the co-scheduler supports (memory organization is orthogonal
 #: and stays centralized — the shared home cluster hosts the cache)
@@ -66,6 +67,12 @@ class MultiProgSpec:
                 f"multiprog needs 1..{MAX_THREADS} workloads, got "
                 f"{len(self.workloads)}"
             )
+        for workload in self.workloads:
+            if workload not in BENCHMARK_NAMES:
+                raise ConfigError(
+                    f"unknown workload {workload!r}; choose from "
+                    f"{BENCHMARK_NAMES}"
+                )
         if self.topology not in FABRICS:
             raise ConfigError(
                 f"unknown multiprog topology {self.topology!r}; choose "

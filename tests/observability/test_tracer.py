@@ -175,9 +175,8 @@ class TestControllerEmissions:
 class TestSchemaCoverage:
     """Every kind in EVENT_FIELDS round-trips through validate_event.
 
-    This is the exhaustive schema check the S304 analysis rule pins: a new
-    event kind added to ``EVENT_FIELDS`` is automatically covered here, but
-    the rule still fails if this file stops importing/validating the table.
+    This is the exhaustive schema check: a new event kind added to
+    ``EVENT_FIELDS`` is automatically covered here.
     """
 
     @pytest.mark.parametrize("kind", sorted(EVENT_FIELDS))

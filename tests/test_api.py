@@ -1,6 +1,7 @@
 """The stable facade (`repro.api`) and the entry-point deprecation shims."""
 
 import dataclasses
+import re
 import threading
 
 import pytest
@@ -11,8 +12,10 @@ from repro.core import StaticController
 from repro.errors import ConfigError
 from repro.experiments.runner import run_trace
 from repro.experiments.sweep import ControllerSpec
+from repro.multiprog import MultiProgSpec
 from repro.pipeline.processor import ClusteredProcessor
 from repro.pipeline.processor import simulate as engine_simulate
+from repro.workloads import BENCHMARK_NAMES
 
 from .specs import SIM_SPEC
 
@@ -105,6 +108,81 @@ class TestNoStrayThreads:
         sweep([SimSpec(workload="gzip", trace_length=2_000)],
               backend="serial", cache_dir=tmp_path).require_ok()
         assert set(threading.enumerate()) - before == set()
+
+
+class TestUnknownWorkload:
+    """An unknown profile name fails when the spec is built, naming the
+    nine profiles, as an unknown topology, policy or arbiter does."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: SimSpec("gzp"), id="SimSpec"),
+        pytest.param(lambda: MultiProgSpec(("swim", "gzp")), id="MultiProgSpec"),
+    ])
+    def test_spec_names_the_profiles(self, build):
+        with pytest.raises(ConfigError, match=re.escape(repr(BENCHMARK_NAMES))):
+            build()
+
+
+def _sweep(*specs, **kwargs):
+    return sweep(specs, backend="serial", cache=False, **kwargs)
+
+
+#: one misspelled keyword or vocabulary string per entry point
+TYPOS = [
+    pytest.param(lambda: SimSpec("gzip", topolgy="grid"), TypeError,
+                 id="SimSpec-keyword"),
+    pytest.param(lambda: simulate("gzip", trace_length=1_000, topolgy="grid"),
+                 TypeError, id="simulate-keyword"),
+    pytest.param(lambda: _sweep(SimSpec("gzip", trace_length=1_000), jbos=2),
+                 TypeError, id="sweep-keyword"),
+    pytest.param(lambda: simulate(("gzip", "swim"), trace_length=1_000,
+                                  arbitr="static"),
+                 ConfigError, id="multiprog-keyword"),
+    pytest.param(lambda: simulate("gzip", trace_length=1_000, topology="rnig"),
+                 ConfigError, id="topology"),
+    pytest.param(lambda: simulate("gzip", trace_length=1_000,
+                                  reconfig_policy="explroe"),
+                 ConfigError, id="policy"),
+    pytest.param(lambda: simulate("gzp", trace_length=1_000), ConfigError,
+                 id="workload"),
+    pytest.param(lambda: simulate(("gzip", "swim"), trace_length=1_000,
+                                  arbiter="comm-awre"),
+                 ConfigError, id="arbiter"),
+    pytest.param(lambda: _sweep(SimSpec("gzip", trace_length=1_000,
+                                        topology="rnig")),
+                 ConfigError, id="sweep-topology"),
+    pytest.param(lambda: _sweep(SimSpec("gzip", trace_length=1_000,
+                                        reconfig_policy="explroe")),
+                 ConfigError, id="sweep-policy"),
+    pytest.param(lambda: _sweep(SimSpec("gzp", trace_length=1_000)),
+                 ConfigError, id="sweep-workload"),
+    pytest.param(lambda: _sweep(MultiProgSpec(("gzip", "swim"),
+                                              arbiter="comm-awre")),
+                 ConfigError, id="sweep-arbiter"),
+]
+
+
+class TestTyposFailBeforeAnyRun:
+    """A misspelled keyword or vocabulary string raises before the first
+    simulation starts, so a long sweep never dies on it halfway."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_to_simulate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        for target in (
+            "repro.experiments.runner.run_trace",
+            "repro.experiments.sweep.run_trace",
+            "repro.api.run_multiprog",
+            "repro.experiments.sweep.run_multiprog",
+        ):
+            monkeypatch.setattr(target, refuse)
+
+    @pytest.mark.parametrize("call, error", TYPOS)
+    def test_raises_before_any_run(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestSweepFacade:

@@ -162,18 +162,17 @@ class TestCommands:
 
 class TestHelpText:
     """The top-level help must advertise every subsystem (regression:
-    it silently omitted the analysis entry point and the sweep flags)."""
+    it silently omitted the sweep flags)."""
 
-    def test_epilog_mentions_analysis_and_sweep_flags(self, capsys):
+    def test_epilog_mentions_sweep_flags(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
         out = capsys.readouterr().out
-        assert "python -m repro.analysis" in out
         for flag in ("--jobs", "--no-cache", "--timeout", "--metrics-json",
                      "--journal", "--resume", "--trace", "--backend"):
             assert flag in out, f"top-level help must mention {flag}"
         for doc in ("docs/SWEEPS.md", "docs/OBSERVABILITY.md",
-                    "docs/ANALYSIS.md", "docs/ARCHITECTURE.md"):
+                    "docs/MULTIPROG.md", "docs/ARCHITECTURE.md"):
             assert doc in out
 
     def test_subcommand_help_documents_trace(self, capsys):

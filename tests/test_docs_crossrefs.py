@@ -51,12 +51,12 @@ RETIRED = [
         "ProducerSteering.set_owned(...)",
     ),
     (
-        "retired analysis modes",
-        re.compile(
-            r"--changed\b|--write-baseline\b|--no-baseline\b"
-            r"|--format[ =]sarif\b"
-        ),
-        "python -m repro.analysis over the whole tree",
+        "retired static analyser",
+        # the package by module or path (``python -m`` included) and its
+        # per-line suppression comments
+        re.compile(r"\brepro[./]analysis\b|#\s*repro:\s*allow\b"),
+        "the runtime checks and tests in the docs/ARCHITECTURE.md "
+        "contract table",
     ),
     (
         "positional simulate(trace, config)",
@@ -177,7 +177,7 @@ def test_lint_catches_retired_spellings():
         "distributed backend": 'sweep(specs, backend="distributed")',
         "lockstep batch backend": "python -m repro figure5 --batch-size 8",
         "MaskedSteering": "from repro.multiprog import MaskedSteering",
-        "retired analysis modes": "python -m repro.analysis --format sarif",
+        "retired static analyser": "LAYER_RANKS in src/repro/analysis/rules_layering.py",
         "positional simulate(trace, config)": "simulate(trace, default_config(16))",
         "positional run_trace controller-plus-warmup": (
             "run_trace(trace, config, controller, 4000)"

@@ -164,6 +164,26 @@ def test_multiprog_kill_restore_matches_golden():
     _check_golden("multiprog/gzip+swim/torus/comm-aware+kill-restore", digest)
 
 
+def golden_digest(key):
+    """Recompute the untraced digest that ``golden_fingerprints.json``
+    pins under ``key``."""
+    if key.startswith("multiprog/"):
+        _, mix, topology, run = key.split("/")
+        arbiter, _, scenario = run.partition("+")
+        faults = MULTIPROG_KILL_RESTORE if scenario else None
+        return _multiprog_fingerprint(
+            tuple(mix.split("+")), topology, arbiter, faults
+        )
+    topology, run = key.split("/")
+    policy, _, scenario = run.partition("+")
+    faults = FAULT_SCENARIOS[scenario][1] if scenario else None
+    result = simulate(
+        _TRACE, topology=topology, reconfig_policy=policy, warmup=500,
+        faults=faults,
+    )
+    return fingerprint(result.stats)
+
+
 def _check_golden(key, digest):
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         data = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
