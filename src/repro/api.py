@@ -420,7 +420,7 @@ class SweepResult:
 def sweep(
     specs: Iterable[object],
     *,
-    backend: Union[str, object] = "auto",
+    backend: str = "auto",
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir=None,
@@ -431,7 +431,7 @@ def sweep(
     progress=None,
     trace=None,
 ) -> SweepResult:
-    """Fan a matrix of simulations out across an execution backend.
+    """Run a matrix of simulations serially or across a process pool.
 
     ``specs`` may mix :class:`SimSpec`,
     :class:`~repro.multiprog.MultiProgSpec`, and raw
@@ -441,10 +441,10 @@ def sweep(
     vocabulary.  Failures come back as structured records — call
     :meth:`SweepResult.require_ok` to raise instead.
 
-    ``backend`` picks the execution mechanism — ``"auto"`` (serial for
-    one job, a local process pool otherwise), ``"serial"``, or
-    ``"process-pool"`` (``jobs`` worker processes).  Both backends return
-    bit-identical records; see ``docs/SWEEPS.md``.
+    ``backend`` picks where specs run — ``"auto"`` (serial for one job,
+    a local process pool otherwise), ``"serial"``, or ``"process-pool"``
+    (``jobs`` worker processes).  Both backends return bit-identical
+    records; see ``docs/SWEEPS.md``.
 
     ``trace`` names a directory to receive the sweep's observability
     artifacts: ``sweep_metrics.json`` (the extended metrics snapshot with

@@ -129,9 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: REPRO_JOBS or cpu_count-1)")
         ex.add_argument("--backend", default="auto",
                         choices=["auto", "serial", "process-pool"],
-                        help="execution backend (default: auto — "
-                             "REPRO_SWEEP_BACKEND, else serial/process-pool "
-                             "by job count)")
+                        help="where specs run (default: auto — serial "
+                             "for one job, else process-pool)")
         ex.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache "
                              "(REPRO_CACHE_DIR or ~/.cache/repro)")

@@ -71,10 +71,6 @@ def env_float(name: str, default: Optional[float] = None) -> Optional[float]:
 ENV_SWITCHES = {
     "REPRO_CACHE_DIR": ("env_text", "sweep result-cache directory"),
     "REPRO_JOBS": ("env_int", "default worker count for default_jobs()"),
-    "REPRO_SWEEP_BACKEND": (
-        "env_text",
-        "default execution backend (serial | process-pool)",
-    ),
     "REPRO_TRACE_SCALE": ("env_float", "multiplies benchmark trace lengths"),
     "REPRO_BENCH_CACHE": ("env_flag", "let pytest benchmarks/ use the cache"),
     "REPRO_CHECK_INVARIANTS": ("env_flag", "sampled simulator invariant checks"),

@@ -45,15 +45,20 @@ def record_intervals(
     config: Optional[ProcessorConfig] = None,
     granularity: int = 100,
     max_instructions: Optional[int] = None,
+    *,
+    deadline: Optional[float] = None,
 ) -> List[IntervalRecord]:
     """Simulate ``trace`` once, recording statistics every ``granularity``
-    committed instructions."""
+    committed instructions.  ``deadline`` is
+    :meth:`~repro.pipeline.processor.ClusteredProcessor.run`'s."""
     from ..pipeline.processor import ClusteredProcessor
 
     controller = RecordingController(granularity)
     processor = ClusteredProcessor(trace, config or default_config(), controller)
-    processor.run(max_instructions)
-    processor.release()
+    try:
+        processor.run(max_instructions, deadline=deadline)
+    finally:
+        processor.release()
     return controller.records
 
 

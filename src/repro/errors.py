@@ -34,12 +34,13 @@ class SweepError(ReproError, RuntimeError):
         return [r for r in self.records if not r.ok]
 
 
-class BackendError(SweepError):
-    """An execution backend could not start or lost its workers entirely.
+class RunTimeout(ReproError):
+    """A run passed its wall-clock deadline.
 
-    Distinct from a per-run failure: the *machinery* is unusable (an
-    unknown backend name, a backend that lost track of its submissions)
-    rather than any particular spec being bad.
+    Raised at the first deadline check past it (see
+    :meth:`~repro.pipeline.processor.ClusteredProcessor.advance_to`);
+    :func:`~repro.experiments.sweep.execute_spec` turns it into a
+    ``"timeout"`` record.
     """
 
 

@@ -65,6 +65,7 @@ def run_trace(
     max_instructions: Optional[int] = None,
     tracer: Optional[object] = None,
     fault_schedule: Optional[object] = None,
+    deadline: Optional[float] = None,
 ) -> RunResult:
     """Simulate a trace and report post-warmup steady-state metrics.
 
@@ -80,7 +81,10 @@ def run_trace(
     statistics are bit-identical with or without one.  ``fault_schedule``
     (a :class:`repro.resilience.FaultSchedule`) injects cycle-scheduled
     architectural faults; unlike tracing it is *not* passive — it is part
-    of the run's identity, exactly like the config.
+    of the run's identity, exactly like the config.  ``deadline`` (a
+    :func:`time.monotonic` value) bounds both legs, warmup and measured
+    run, as :meth:`ClusteredProcessor.advance_to` describes; both legs
+    run under the wedge guard.
 
     The pre-facade spelling ``run_trace(trace, config, controller, warmup,
     label)`` was removed after its deprecation cycle; everything past the
@@ -89,18 +93,20 @@ def run_trace(
     processor = ClusteredProcessor(
         trace, config, controller, tracer=tracer, fault_schedule=fault_schedule
     )
-    if steering is not None:
-        processor.steering = steering(processor.clusters)
-    warmup = min(warmup, max(0, len(trace) - 1000))
-    if max_instructions is not None:
-        warmup = min(warmup, max_instructions)
-    processor.advance(warmup)
-    cycles0 = processor.cycle
-    committed0 = processor.stats.committed
-    mispredicts0 = processor.stats.mispredicts
-    cluster_cycles0 = processor.stats.cluster_cycle_product
-    stats = processor.run(max_instructions)
-    processor.release()
+    try:
+        if steering is not None:
+            processor.steering = steering(processor.clusters)
+        warmup = min(warmup, max(0, len(trace) - 1000))
+        if max_instructions is not None:
+            warmup = min(warmup, max_instructions)
+        processor.advance_to(warmup, deadline)
+        cycles0 = processor.cycle
+        committed0 = processor.stats.committed
+        mispredicts0 = processor.stats.mispredicts
+        cluster_cycles0 = processor.stats.cluster_cycle_product
+        stats = processor.run(max_instructions, deadline=deadline)
+    finally:
+        processor.release()
 
     cycles = max(1, stats.cycles - cycles0)
     committed = stats.committed - committed0

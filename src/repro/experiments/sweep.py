@@ -16,13 +16,12 @@ harness) fan out on:
   everything automatically).
 * :class:`SweepConfig` — one validated dataclass holding every runner
   knob (backend, parallelism, cache, timeout/retry, journal, tracing).
-* :class:`SweepRunner` — fans specs out across a pluggable
-  :class:`~repro.experiments.backends.ExecutionBackend` (in-process
-  serial or a local process pool) with per-run timeout and retry,
-  records structured failures instead of crashing the sweep, and exposes
-  progress/latency/utilization metrics.
+* :class:`SweepRunner` — runs specs in the calling process (``serial``)
+  or across a local process pool (``process-pool``) through one loop,
+  with per-run timeout and retry, records structured failures instead of
+  crashing the sweep, and exposes progress/latency/utilization metrics.
 
-Determinism is the design constraint: every backend must produce
+Determinism is the design constraint: both backends must produce
 the same :class:`~repro.stats.SimStats` as ``SweepConfig(jobs=1)`` and as
 the plain ``run_trace`` loop, for the same seeds.
 
@@ -41,10 +40,10 @@ always with a structured record, never an unhandled exception — all of:
   unpickling, evicted, recomputed;
 * a killed sweep: pass ``journal=``/``resume=True`` (CLI ``--resume``) and
   completed work is skipped on the next attempt — the resumed exhibit is
-  bit-identical to an uninterrupted run.
-
-Transient failures back off exponentially with full jitter between
-retries (``retry_backoff`` base seconds, doubling per attempt, capped).
+  bit-identical to an uninterrupted run;
+* a run that outlives its ``timeout``: it checks a wall-clock deadline
+  between cycle-bounded chunks and ends as a ``"timeout"`` record, on
+  any thread.
 """
 
 from __future__ import annotations
@@ -55,11 +54,12 @@ import math
 import os
 import pathlib
 import pickle
-import random
 import signal
 import tempfile
 import threading
 import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Executor, Future, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -67,8 +67,8 @@ from .. import faults
 from .._version import __version__
 from ..config import ProcessorConfig, env_int, env_text
 from ..errors import (
-    BackendError,
     ConfigError,
+    RunTimeout,
     SimulationError,
     SweepError,
     SweepInterrupted,
@@ -96,8 +96,6 @@ from .runner import DEFAULT_WARMUP, RunResult, run_trace
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: environment knob: default worker count for CLI/benchmark sweeps
 JOBS_ENV = "REPRO_JOBS"
-#: environment knob: default execution backend for ``backend="auto"``
-BACKEND_ENV = "REPRO_SWEEP_BACKEND"
 
 #: bump when the cached payload layout changes
 #: (v2: payload carries a SHA-256 checksum of the pickled record, verified
@@ -264,13 +262,12 @@ CACHE_KEY_EXEMPT: Dict[str, Tuple[str, ...]] = {
     # reporting name only: two exhibits running the same configuration
     # under different labels share one cache entry (see RunSpec docstring)
     "RunSpec": ("label",),
-    # execution policy, not simulation semantics: every backend produces
+    # execution policy, not simulation semantics: both backends produce
     # bit-identical records (the conformance suite proves it), so none of
     # the runner knobs may ever influence a cached result
     "SweepConfig": (
         "backend", "jobs", "cache_dir", "use_cache",
-        "timeout", "retries", "retry_backoff", "journal", "resume",
-        "poison_threshold", "trace_dir",
+        "timeout", "retries", "journal", "resume", "trace_dir",
     ),
 }
 
@@ -372,14 +369,6 @@ def _traces_for(spec: RunSpec) -> list:
     return [_TRACE_MEMO[key] for key in keys]
 
 
-class _RunTimeout(Exception):
-    pass
-
-
-def _alarm_handler(signum, frame):  # pragma: no cover - fires asynchronously
-    raise _RunTimeout()
-
-
 def multiprog_run_spec(spec: MultiProgSpec) -> RunSpec:
     """Wrap a :class:`MultiProgSpec` as a sweep-engine :class:`RunSpec`.
 
@@ -398,11 +387,11 @@ def multiprog_run_spec(spec: MultiProgSpec) -> RunSpec:
     )
 
 
-def _run_multiprog_spec(spec: RunSpec) -> RunRecord:
+def _run_multiprog_spec(spec: RunSpec, deadline: Optional[float]) -> RunRecord:
     """Worker-side execution of a multiprogrammed spec."""
     start = time.perf_counter()
     mp_spec = spec.multiprog
-    mp = run_multiprog(mp_spec, traces=_traces_for(spec))
+    mp = run_multiprog(mp_spec, traces=_traces_for(spec), deadline=deadline)
     stats = mp.stats
     # aggregate view: throughput over *global* cycles; "reconfigurations"
     # counts arbiter actions, the multiprog analogue of cluster changes
@@ -428,17 +417,19 @@ def _run_multiprog_spec(spec: RunSpec) -> RunRecord:
     )
 
 
-def _run_spec(spec: RunSpec) -> RunRecord:
+def _run_spec(spec: RunSpec, deadline: Optional[float]) -> RunRecord:
     """Execute one spec (no error handling — see :func:`execute_spec`)."""
     if spec.multiprog is not None:
-        return _run_multiprog_spec(spec)
+        return _run_multiprog_spec(spec, deadline)
     start = time.perf_counter()
     [trace] = _traces_for(spec)
 
     if spec.record_granularity is not None:
         from ..core.instability import record_intervals
 
-        records = record_intervals(trace, spec.config, spec.record_granularity)
+        records = record_intervals(
+            trace, spec.config, spec.record_granularity, deadline=deadline
+        )
         return RunRecord(
             spec=spec,
             status="ok",
@@ -456,6 +447,7 @@ def _run_spec(spec: RunSpec) -> RunRecord:
         steering=steering,
         max_instructions=spec.max_instructions,
         fault_schedule=spec.faults,
+        deadline=deadline,
     )
     return RunRecord(
         spec=spec,
@@ -494,33 +486,21 @@ def _validate_record(record: RunRecord) -> None:
 def execute_spec(spec: RunSpec, timeout: Optional[float] = None) -> RunRecord:
     """Run one spec, converting any failure into a structured record.
 
-    The per-run timeout is enforced with ``SIGALRM`` inside the worker (so
-    a runaway simulation is actually interrupted, not merely abandoned);
-    when the signal is unavailable — non-main thread, non-Unix — the run
-    proceeds unbounded rather than crashing.
+    ``timeout`` becomes a :func:`time.monotonic` deadline that the
+    simulation checks between cycle-bounded chunks (a multiprog run:
+    between epoch segments), so a run that passes it stops at the next
+    check, on any thread.  Trace generation counts against the deadline
+    but is not cut short.  With no timeout no clock is read.
     """
     start = time.perf_counter()
-    use_alarm = (
-        timeout is not None
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-    previous = None
-    if use_alarm:
-        previous = signal.signal(signal.SIGALRM, _alarm_handler)
-        # repeating interval: a raise that lands while a C-invoked frame
-        # (e.g. a gc callback) is on the stack is swallowed as
-        # "unraisable"; the next tick retries it
-        signal.setitimer(signal.ITIMER_REAL, timeout, min(timeout, 0.05))
+    deadline = None if timeout is None else time.monotonic() + timeout
     try:
         faults.on_execute(spec)
-        record = _run_spec(spec)
+        record = _run_spec(spec, deadline)
         faults.poison_record(record)
         _validate_record(record)
         return record
-    except _RunTimeout:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
+    except RunTimeout:
         return RunRecord(
             spec=spec,
             status="timeout",
@@ -534,10 +514,6 @@ def execute_spec(spec: RunSpec, timeout: Optional[float] = None) -> RunRecord:
             error=f"{type(exc).__name__}: {exc}",
             duration=time.perf_counter() - start,
         )
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
 
 
 # ----------------------------------------------------------------------
@@ -635,6 +611,8 @@ def default_cache_dir() -> pathlib.Path:
 class SweepMetrics:
     """Progress and performance counters for one :class:`SweepRunner`."""
 
+    #: processes that ran specs at once: 1 for a serial sweep, the pool's
+    #: size otherwise (the denominator of :attr:`worker_utilization`)
     jobs: int = 1
     submitted: int = 0
     completed: int = 0
@@ -659,8 +637,8 @@ class SweepMetrics:
     #: positions within the sweep (``end_seconds`` since sweep start,
     #: ``run_seconds`` executing, ``queue_seconds`` waiting for a worker)
     spec_timings: List[Dict] = field(default_factory=list)
-    #: execution-backend telemetry: kind, worker count, respawn count,
-    #: and wall-clock lifecycle events (start/respawn/close)
+    #: backend telemetry: kind, worker count, respawn count, and
+    #: wall-clock lifecycle events (start/respawn/close)
     backend: Dict[str, object] = field(default_factory=dict)
 
     def latency_percentile(self, pct: float) -> float:
@@ -727,8 +705,11 @@ def default_jobs() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-#: backoff delays are capped at this many seconds regardless of attempt
-MAX_RETRY_BACKOFF = 30.0
+#: the ``SweepConfig.backend`` spellings; ``"auto"`` follows ``jobs``
+BACKENDS = ("auto", "serial", "process-pool")
+
+#: solo worker crashes after which a spec is quarantined as ``"poisoned"``
+POISON_THRESHOLD = 3
 
 
 @dataclass(frozen=True)
@@ -738,46 +719,26 @@ class SweepConfig:
     Build one and pass it as the runner's single positional argument
     (the facade :func:`repro.api.sweep` and the CLI both do).
 
-    ``backend`` selects the execution mechanism:
-
-    * ``"auto"`` (default) — ``REPRO_SWEEP_BACKEND`` if set; else
-      ``"serial"`` for ``jobs <= 1`` and ``"process-pool"`` otherwise.
-    * ``"serial"`` / ``"process-pool"`` — explicit.
-    * an :class:`~repro.experiments.backends.ExecutionBackend` instance —
-      escape hatch for tests and custom executors (single-use).
-
-    All backends produce bit-identical records for identical specs.
+    ``backend`` selects where specs run: ``"serial"`` in the calling
+    process, ``"process-pool"`` across ``jobs`` worker processes, and
+    ``"auto"`` (default) serial for ``jobs <= 1`` and the pool otherwise.
+    Both produce bit-identical records for identical specs.
     """
 
-    backend: Union[str, object] = "auto"
+    backend: str = "auto"
     jobs: Optional[int] = None
     cache_dir: Optional[os.PathLike] = None
     use_cache: bool = True
     timeout: Optional[float] = None
     retries: int = 1
-    retry_backoff: float = 0.0
     journal: Optional[object] = None
     resume: bool = False
-    poison_threshold: int = 3
     trace_dir: Optional[os.PathLike] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.backend, str):
-            from .backends import BACKEND_KINDS
-
-            if self.backend not in ("auto",) + BACKEND_KINDS:
-                raise ConfigError(
-                    f"unknown backend {self.backend!r}; choose from "
-                    f"{('auto',) + BACKEND_KINDS} or pass an "
-                    "ExecutionBackend instance"
-                )
-        elif not all(
-            callable(getattr(self.backend, method, None))
-            for method in ("submit", "drain", "cancel")
-        ):
+        if self.backend not in BACKENDS:
             raise ConfigError(
-                f"backend must be a name or an ExecutionBackend, "
-                f"got {type(self.backend).__name__}"
+                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
         if self.jobs is not None and int(self.jobs) < 0:
             raise ConfigError(f"jobs must be >= 0, got {self.jobs!r}")
@@ -785,38 +746,36 @@ class SweepConfig:
             raise ConfigError(f"timeout must be positive, got {self.timeout!r}")
         if int(self.retries) < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries!r}")
-        if float(self.retry_backoff) < 0:
-            raise ConfigError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff!r}"
-            )
-        if int(self.poison_threshold) < 1:
-            raise ConfigError(
-                f"poison_threshold must be >= 1, got {self.poison_threshold!r}"
-            )
 
     def resolved_jobs(self) -> int:
         """Worker count after defaults (``REPRO_JOBS``/CPU count)."""
         return default_jobs() if self.jobs is None else max(1, int(self.jobs))
 
-    def resolved_backend(self) -> Union[str, object]:
-        """The concrete backend after ``"auto"`` resolution."""
-        if not isinstance(self.backend, str) or self.backend != "auto":
+    def resolved_backend(self) -> str:
+        """``"serial"`` or ``"process-pool"``, after ``"auto"`` resolution."""
+        if self.backend != "auto":
             return self.backend
-        env = env_text(BACKEND_ENV)
-        if env:
-            return env
         return "serial" if self.resolved_jobs() <= 1 else "process-pool"
 
 
-class SweepRunner:
-    """Fan independent :class:`RunSpec` runs out across an execution backend.
+class _InlineExecutor(Executor):
+    """The ``serial`` backend: runs each submission in the calling thread
+    as it is submitted, behind the process pool's interface."""
 
-    The runner owns *policy* — caching, journal/resume, retry with
-    backoff, crash counting and quarantine, signal draining, metrics —
-    and delegates *mechanism* (actually running specs) to an
-    :class:`~repro.experiments.backends.ExecutionBackend` chosen by
-    ``config.backend``: in-process serial (the determinism oracle) or a
-    local process pool.  Both yield bit-identical records.
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+class SweepRunner:
+    """Run independent :class:`RunSpec` runs serially or on a process pool.
+
+    The runner owns caching, journal/resume, retries, crash counting and
+    quarantine, signal draining and metrics, written once for both
+    backends: one loop submits specs to a :mod:`concurrent.futures`
+    executor, a :class:`~concurrent.futures.ProcessPoolExecutor` or an
+    in-process one.  Both yield bit-identical records.
 
     Construct with a single :class:`SweepConfig`::
 
@@ -848,38 +807,18 @@ class SweepRunner:
         self.cache = ResultCache(self.config.cache_dir) if self.use_cache else None
         self.timeout = self.config.timeout
         self.retries = int(self.config.retries)
-        self.retry_backoff = float(self.config.retry_backoff)
-        # Fixed-seed RNG: jitter only needs to decorrelate successive
-        # retries, and an ambient random.uniform() would make the one
-        # nondeterministic corner of the sweep engine
-        self._backoff_rng = random.Random(0x0B5EED)
         journal = self.config.journal
         if journal is not None and not isinstance(journal, SweepJournal):
             journal = SweepJournal(journal)
         self.journal: Optional[SweepJournal] = journal
         self.resume = self.config.resume
-        self.poison_threshold = int(self.config.poison_threshold)
         self.progress = progress
         self.trace_dir = self.config.trace_dir
-        self.metrics = SweepMetrics(jobs=self.jobs)
+        self.metrics = SweepMetrics()
         self._drain_requested = False
         self._journaled_keys: set = set()
         # wall-clock bookkeeping for per-spec timings (relative seconds)
         self._clock0 = time.perf_counter()
-
-    def _make_backend(self):
-        """Build (or adopt) the execution backend for one ``run()``."""
-        from .backends import ExecutionBackend, create_backend
-
-        resolved = self.config.resolved_backend()
-        if isinstance(resolved, ExecutionBackend) or not isinstance(resolved, str):
-            return resolved
-        backend = create_backend(resolved, jobs=self.jobs, timeout=self.timeout)
-        # align backend lifecycle timestamps with the sweep's span clock
-        log = getattr(backend, "_log", None)
-        if log is not None:
-            log.clock0 = self._clock0
-        return backend
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
@@ -1111,76 +1050,89 @@ class SweepRunner:
         with open(directory / "sweep_trace.json", "w", encoding="utf-8") as fh:
             json.dump(trace, fh)
 
-    def _backoff(self, attempt: int) -> None:
-        """Exponential backoff with full jitter before retry ``attempt+1``."""
-        if self.retry_backoff <= 0:
-            return
-        ceiling = min(
-            self.retry_backoff * (2 ** max(0, attempt - 1)), MAX_RETRY_BACKOFF
-        )
-        time.sleep(self._backoff_rng.uniform(0, ceiling))
-
     def _execute(self, pending, records) -> None:
-        """Run ``pending`` specs through the execution backend.
+        """Run ``pending`` specs, at most ``width`` at a time.
 
-        The backend supplies mechanism (and ``crashed=True`` attribution:
-        a crashed completion means the spec provably killed its worker);
-        this loop supplies policy — retry with backoff, crash counting
-        and quarantine at ``poison_threshold``, and drain-on-signal
-        (queued work is cancelled, in-flight work completes and is
-        journaled).
+        One loop for both backends.  A pool that breaks (a worker died)
+        fails every in-flight future, so the in-flight set is exactly the
+        set of suspects: they re-run one at a time, and a spec that breaks
+        the pool while running alone is the culprit.  Its crashes count
+        toward quarantine at :data:`POISON_THRESHOLD`; an innocent that
+        shared the pool with it is never blamed.  Failed records are
+        retried up to ``retries`` times.  On a drain request queued work
+        is dropped and in-flight work completes and is journaled.
         """
-        backend = self._make_backend()
+        kind = self.config.resolved_backend()
+        width = 1 if kind == "serial" else min(self.jobs, len(pending))
+        self.metrics.jobs = max(self.metrics.jobs, width)
+        events: List[Dict[str, object]] = []
+        respawns = 0
+
+        def stamp(event: str, **details: object) -> None:
+            t = round(time.perf_counter() - self._clock0, 6)
+            events.append({"event": event, "t": t, **details})
+
+        queue = deque(pending)
+        probe: deque = deque()  # crash suspects, run alone
+        running: Dict[Future, Tuple[int, RunSpec, float]] = {}
         attempts: Dict[int, int] = {}
         crashes: Dict[int, int] = {}
-        outstanding = 0
-        cancelled = False
+        executor: Optional[Executor] = None
+        broken = False
+        stamp("backend_start", jobs=width)
         try:
-            backend.start()
-            for index, spec in pending:
-                backend.submit(index, spec)
-                outstanding += 1
-            while outstanding:
-                if self._drain_requested and not cancelled:
-                    outstanding -= len(backend.cancel())
-                    cancelled = True
-                    continue
-                completions = backend.drain()
-                if not completions:
-                    if outstanding:  # pragma: no cover - defensive
-                        raise BackendError(
-                            f"backend {backend.kind!r} lost track of "
-                            f"{outstanding} outstanding spec(s)"
-                        )
-                    break
-                for done in completions:
-                    outstanding -= 1
-                    index, spec = done.index, done.spec
-                    if done.dropped:
-                        continue  # discarded during a drain; slot stays empty
-                    if done.crashed:
-                        crashes[index] = crashes.get(index, 0) + 1
-                        if self._drain_requested:
-                            continue  # draining: crashers are not re-probed
-                        if crashes[index] >= self.poison_threshold:
-                            self._finish(
-                                index,
-                                RunRecord(
-                                    spec=spec,
-                                    status="poisoned",
-                                    error=(
-                                        "crashed the worker process "
-                                        f"{crashes[index]} times; quarantined"
-                                    ),
-                                ),
-                                attempts.get(index, 0) + crashes[index],
-                                records,
-                            )
+            while queue or probe or running:
+                if self._drain_requested:
+                    queue.clear()
+                    probe.clear()
+                    if not running:
+                        break
+                # top up: a suspect runs only once nothing else does
+                while not broken:
+                    if probe and not running:
+                        source = probe
+                    elif queue and not probe and len(running) < width:
+                        source = queue
+                    else:
+                        break
+                    index, spec = source.popleft()
+                    if executor is None:
+                        executor = self._executor(kind, width)
+                    try:
+                        future = executor.submit(execute_spec, spec, self.timeout)
+                    except BrokenExecutor:
+                        # the pool died before this spec ran: not a suspect
+                        broken = True
+                        source.appendleft((index, spec))
+                        break
+                    running[future] = (index, spec, time.perf_counter())
+                alone = len(running) == 1
+                done = wait(running, return_when=FIRST_COMPLETED).done if running else ()
+                for future in done:
+                    index, spec, submitted = running.pop(future)
+                    try:
+                        record = future.result()
+                    except BrokenExecutor:
+                        broken = True
+                        if alone:  # it broke the pool by itself
+                            crashes[index] = crashes.get(index, 0) + 1
+                        if (
+                            crashes.get(index, 0) < POISON_THRESHOLD
+                            or self._drain_requested
+                        ):
+                            probe.append((index, spec))
                             continue
-                        backend.submit(index, spec, solo=True)
-                        outstanding += 1
+                        record = RunRecord(
+                            spec=spec,
+                            status="poisoned",
+                            error=(
+                                f"crashed the worker process {crashes[index]} "
+                                "times; quarantined"
+                            ),
+                        )
+                        self._finish(index, record,
+                                     attempts.get(index, 0) + crashes[index], records)
                         continue
-                    record = done.record
                     attempts[index] = attempts.get(index, 0) + 1
                     if (
                         not record.ok
@@ -1188,27 +1140,38 @@ class SweepRunner:
                         and not self._drain_requested
                     ):
                         self.metrics.retries += 1
-                        self._backoff(attempts[index])
-                        backend.submit(index, spec)
-                        outstanding += 1
+                        queue.append((index, spec))
                         continue
-                    self._finish(
-                        index, record, attempts[index], records,
-                        queue_seconds=done.queue_seconds,
-                    )
+                    queue_seconds = time.perf_counter() - submitted - record.duration
+                    self._finish(index, record, attempts[index], records,
+                                 queue_seconds=queue_seconds)
+                if broken:
+                    # every spec still in flight is a suspect; respawn
+                    probe.extend((i, s) for i, s, _ in running.values())
+                    running.clear()
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    executor = None
+                    broken = False
+                    respawns += 1
+                    self.metrics.pool_respawns += 1
+                    stamp("pool_respawn", respawns=respawns)
         finally:
-            # close first, so the backend_close event reaches the metrics
-            backend.close()
-            info = {}
-            try:
-                info = backend.stats()
-            except Exception:  # pragma: no cover - telemetry must not kill
-                pass
-            self.metrics.pool_respawns += int(info.get("respawns", 0) or 0)
-            workers = info.get("workers")
-            if workers:  # utilization denominator: real worker slots
-                self.metrics.jobs = max(self.metrics.jobs, int(workers))
-            self.metrics.backend = info
+            if executor is not None:
+                executor.shutdown(wait=not broken, cancel_futures=True)
+            stamp("backend_close")
+            self.metrics.backend = {
+                "kind": kind, "workers": width, "respawns": respawns,
+                "events": events,
+            }
+
+    @staticmethod
+    def _executor(kind: str, width: int) -> Executor:
+        if kind == "serial":
+            return _InlineExecutor()
+        # imported here so that a serial sweep never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(max_workers=width)
 
 
 def require_ok(records: Sequence[RunRecord]) -> List[RunRecord]:

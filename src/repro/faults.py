@@ -13,8 +13,6 @@ A :class:`FaultPlan` describes artificial failures to inject into
   path is exercised.
 * ``fail_profiles`` — raise :class:`~repro.errors.FaultInjected` inside the
   run (an ordinary in-worker exception → structured ``"failed"`` record).
-* ``hang_profiles`` — sleep for ``hang_seconds`` (forces the per-run
-  timeout path).
 * ``nan_profiles`` — poison the finished ``RunResult`` with NaN IPC, which
   the sweep-level sanity validation must catch.
 * ``corrupt_cache_writes`` — truncate and scramble every cache payload as
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple
 
@@ -69,8 +66,6 @@ class FaultPlan:
     #: directory of token files; each crash consumes one (None = unlimited)
     crash_token_dir: Optional[str] = None
     fail_profiles: Tuple[str, ...] = ()
-    hang_profiles: Tuple[str, ...] = ()
-    hang_seconds: float = 3600.0
     nan_profiles: Tuple[str, ...] = ()
     corrupt_cache_writes: bool = False
     scramble_topology: bool = False
@@ -117,7 +112,7 @@ class FaultPlan:
                             f"fault plan key {key!r} must be {label}, got "
                             f"a {type(item).__name__} element"
                         )
-        for key in ("crash_profiles", "fail_profiles", "hang_profiles", "nan_profiles"):
+        for key in ("crash_profiles", "fail_profiles", "nan_profiles"):
             data[key] = tuple(data.get(key) or ())
         return cls(**data)
 
@@ -128,8 +123,6 @@ _PLAN_FIELD_TYPES = {
     "crash_profiles": (list, "a list of profile names"),
     "crash_token_dir": ((str, type(None)), "a directory path or null"),
     "fail_profiles": (list, "a list of profile names"),
-    "hang_profiles": (list, "a list of profile names"),
-    "hang_seconds": ((int, float), "a number of seconds"),
     "nan_profiles": (list, "a list of profile names"),
     "corrupt_cache_writes": (bool, "a boolean"),
     "scramble_topology": (bool, "a boolean"),
@@ -187,7 +180,7 @@ def _consume_crash_token(directory: str) -> bool:
 
 
 def on_execute(spec) -> None:
-    """Called at the top of every ``execute_spec``; may crash, raise, hang."""
+    """Called at the top of every ``execute_spec``; may crash or raise."""
     plan = active_plan()
     if plan is None:
         return
@@ -201,8 +194,6 @@ def on_execute(spec) -> None:
             os._exit(CRASH_EXIT_CODE)
     if profile in plan.fail_profiles:
         raise FaultInjected(f"injected failure for profile {profile!r}")
-    if profile in plan.hang_profiles:
-        time.sleep(plan.hang_seconds)
 
 
 def poison_record(record) -> None:

@@ -41,6 +41,7 @@ Modelling notes (see ``docs/MULTIPROG.md``):
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -52,10 +53,10 @@ from ..config import (
     ring_of_rings_config,
     torus_config,
 )
-from ..errors import SimulationError
+from ..errors import RunTimeout, SimulationError
 from ..interconnect.network import build_topology
 from ..observability.tracer import NULL_TRACER, Tracer
-from ..pipeline.processor import ClusteredProcessor
+from ..pipeline.processor import _MAX_CPI, ClusteredProcessor
 from ..stats import SimStats
 from ..workloads.generator import generate_trace
 from ..workloads.instruction import Trace
@@ -76,10 +77,6 @@ _FABRIC_CONFIGS: Dict[str, Callable[[int], ProcessorConfig]] = {
 #: per-thread trace seeds are decorrelated with this stride so identical
 #: profile names still produce independent instruction streams
 SEED_STRIDE = 17
-
-#: wedge guard, as in the single-thread processor: a run may not take
-#: more than this many global cycles per total instruction
-_MAX_CPI = 400
 
 
 def thread_seed(seed: int, index: int) -> int:
@@ -294,6 +291,8 @@ def run_multiprog(
     spec: MultiProgSpec,
     tracer: Optional[Tracer] = None,
     traces: Optional[Sequence[Trace]] = None,
+    *,
+    deadline: Optional[float] = None,
 ) -> MultiProgResult:
     """Run one multiprogrammed spec to completion.
 
@@ -302,7 +301,11 @@ def run_multiprog(
     ``arb_reclaim`` events) never perturbs it.  ``traces``, when given,
     are the threads' instruction streams, already generated with
     :func:`thread_seed` (the sweep passes its trace memo's copies);
-    otherwise they are generated here.
+    otherwise they are generated here.  ``deadline`` (a
+    :func:`time.monotonic` value) is checked after every epoch segment:
+    the first check past it raises :class:`RunTimeout`.  The run is
+    bounded by the wedge guard, :data:`_MAX_CPI` global cycles per
+    instruction, as a single-thread run is.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     config = fabric_config(spec)
@@ -311,24 +314,53 @@ def run_multiprog(
         spec.arbiter, spec.clusters, len(spec.workloads), topology
     )
 
-    ledger = ClusterLedger(spec.clusters)
     threads: List[_Thread] = []
-    total_instructions = 0
-    for index, workload in enumerate(spec.workloads):
-        if traces is not None:
-            trace = traces[index]
-        else:
-            trace = generate_trace(
-                get_profile(workload),
-                spec.trace_length,
-                seed=thread_seed(spec.seed, index),
+    try:
+        for index, workload in enumerate(spec.workloads):
+            if traces is not None:
+                trace = traces[index]
+            else:
+                trace = generate_trace(
+                    get_profile(workload),
+                    spec.trace_length,
+                    seed=thread_seed(spec.seed, index),
+                )
+            processor = ClusteredProcessor(trace, config)
+            threads.append(
+                _Thread(index, workload, processor, processor.steering)
             )
-        total_instructions += len(trace)
-        processor = ClusteredProcessor(trace, config)
-        threads.append(
-            _Thread(index, workload, processor, processor.steering)
-        )
+        cycle = _co_schedule(spec, arbiter, threads, tracer, deadline)
+    finally:
+        for thread in threads:
+            thread.processor.release()
 
+    thread_results = tuple(
+        ThreadResult(
+            workload=thread.workload,
+            index=thread.index,
+            ipc=thread.processor.stats.ipc,
+            committed=thread.processor.stats.committed,
+            cycles=thread.processor.stats.cycles,
+            stats=thread.processor.stats,
+        )
+        for thread in threads
+    )
+    merged = SimStats.merged(t.processor.stats for t in threads)
+    return MultiProgResult(
+        spec=spec, threads=thread_results, cycles=cycle, stats=merged
+    )
+
+
+def _co_schedule(
+    spec: MultiProgSpec,
+    arbiter: Arbiter,
+    threads: List[_Thread],
+    tracer: Tracer,
+    deadline: Optional[float],
+) -> int:
+    """Run ``threads`` to completion; returns the final global cycle."""
+    ledger = ClusterLedger(spec.clusters)
+    total_instructions = sum(len(t.processor.trace) for t in threads)
     allocation = arbiter.initial_allocation()
     if len(allocation) != len(threads):
         raise SimulationError(
@@ -408,21 +440,6 @@ def run_multiprog(
                 f"{total_instructions} instructions (threads {alive} "
                 f"still running)"
             )
-
-    thread_results = tuple(
-        ThreadResult(
-            workload=thread.workload,
-            index=thread.index,
-            ipc=thread.processor.stats.ipc,
-            committed=thread.processor.stats.committed,
-            cycles=thread.processor.stats.cycles,
-            stats=thread.processor.stats,
-        )
-        for thread in threads
-    )
-    merged = SimStats.merged(t.processor.stats for t in threads)
-    for thread in threads:
-        thread.processor.release()
-    return MultiProgResult(
-        spec=spec, threads=thread_results, cycles=cycle, stats=merged
-    )
+        if deadline is not None and time.monotonic() > deadline:
+            raise RunTimeout(f"deadline passed at global cycle {cycle}")
+    return cycle

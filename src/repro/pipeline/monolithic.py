@@ -24,6 +24,7 @@ def simulate_monolithic(
 ) -> SimStats:
     """Run the monolithic baseline over a trace."""
     processor = ClusteredProcessor(trace, config or monolithic_config())
-    stats = processor.run(max_instructions)
-    processor.release()
-    return stats
+    try:
+        return processor.run(max_instructions)
+    finally:
+        processor.release()

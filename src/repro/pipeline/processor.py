@@ -25,13 +25,14 @@ cluster every cycle, as the equivalence oracle for the fused loop.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Tuple
 
 from ..clusters.cluster import Cluster
 from ..clusters.criticality import CriticalityPredictor
 from ..clusters.steering import ProducerSteering, SteeringHeuristic
 from ..config import ProcessorConfig
-from ..errors import SimulationError
+from ..errors import RunTimeout, SimulationError
 from ..frontend.fetch import FetchUnit
 from ..interconnect.network import Network
 from ..memory.hierarchy import build_memory
@@ -46,6 +47,9 @@ from .rob import InFlight, ReorderBuffer
 #: safety multiplier: a run may not take more than this many cycles per
 #: instruction before we declare the pipeline wedged
 _MAX_CPI = 400
+
+#: cycles a run with a wall-clock deadline advances between clock reads
+DEADLINE_CHUNK = 2_048
 
 
 class ClusteredProcessor:
@@ -530,6 +534,28 @@ class ClusteredProcessor:
                 raise self._wedged()
         return True
 
+    def advance_to(self, target: int, deadline: Optional[float] = None) -> None:
+        """Run until ``target`` instructions have committed or the trace
+        finishes, under the wedge guard: passing
+        ``max(10_000, target * _MAX_CPI)`` cycles raises
+        :class:`SimulationError`.
+
+        Without a ``deadline`` this is one :meth:`advance` call and reads
+        no clock.  A ``deadline`` (a :func:`time.monotonic` value) splits
+        the run into :data:`DEADLINE_CHUNK`-cycle advances, bit-identical
+        to one, and raises :class:`RunTimeout` at the first chunk boundary
+        past it.
+        """
+        max_cycles = max(10_000, target * _MAX_CPI)
+        if deadline is None:
+            self.advance(target, max_cycles=max_cycles)
+            return
+        while not self.advance(
+            target, max_cycles=max_cycles, until_cycle=self.cycle + DEADLINE_CHUNK
+        ):
+            if time.monotonic() > deadline:
+                raise RunTimeout(f"deadline passed at cycle {self.cycle}")
+
     def step(self) -> None:
         """Advance one cycle (a no-op once the run has finished)."""
         self.advance(until_cycle=self.cycle + 1)
@@ -556,7 +582,12 @@ class ClusteredProcessor:
     def finished(self) -> bool:
         return self.fetch_unit.exhausted and self.rob.empty
 
-    def run(self, max_instructions: Optional[int] = None) -> SimStats:
+    def run(
+        self,
+        max_instructions: Optional[int] = None,
+        *,
+        deadline: Optional[float] = None,
+    ) -> SimStats:
         """Run until the trace is exhausted or ``max_instructions`` commit.
 
         ``None`` means no limit (the whole trace).  The limit is
@@ -565,11 +596,12 @@ class ClusteredProcessor:
         cycle, the committed count may overshoot ``max_instructions`` by at
         most ``commit_width - 1``.  Stopping mid-cycle would record a
         machine state no real cycle ever produced, so the overshoot is the
-        contract (see ``tests/test_api.py``).
+        contract (see ``tests/test_api.py``).  ``deadline`` is
+        :meth:`advance_to`'s.
         """
         limit = max_instructions if max_instructions is not None else len(self.trace)
         limit = min(limit, len(self.trace))
-        self.advance(limit, max_cycles=max(10_000, limit * _MAX_CPI))
+        self.advance_to(limit, deadline)
         if self._fault_manager is not None:
             self._fault_manager.finalize(self.cycle)
         if self.invariants is not None:
@@ -580,7 +612,8 @@ class ClusteredProcessor:
         """Drop the controller, invariant checker and fault manager, which
         each point back here, so reference counting frees the finished run
         without a cyclic collection.  Every run owner calls this once the
-        results are read; the processor must not advance afterwards."""
+        results are read, in a ``finally`` so a run that raises is freed
+        too; the processor must not advance afterwards."""
         self.controller = self.invariants = self._fault_manager = None
 
 
@@ -600,6 +633,7 @@ def simulate(
     spelling was removed after its deprecation cycle.
     """
     processor = ClusteredProcessor(trace, config, controller, steering)
-    stats = processor.run(max_instructions)
-    processor.release()
-    return stats
+    try:
+        return processor.run(max_instructions)
+    finally:
+        processor.release()

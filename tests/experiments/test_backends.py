@@ -1,9 +1,9 @@
 """Backend conformance suite.
 
-One spec matrix, both execution backends, bit-identical records — the
-contract that makes the backend a pure mechanism choice.  Plus the
-runner policy every backend inherits: crash quarantine followed by a
-journal resume, and backend lifecycle telemetry.
+One spec matrix, both backends, bit-identical records — the contract
+that makes the backend a pure mechanism choice.  Plus the runner policy
+both share: crash quarantine followed by a journal resume, and backend
+lifecycle telemetry.
 """
 
 import json
@@ -13,14 +13,15 @@ import pytest
 
 from repro import faults
 from repro.config import default_config
-from repro.errors import BackendError, ConfigError
-from repro.experiments.backends import BACKEND_KINDS, create_backend
+from repro.errors import ConfigError
 from repro.experiments.sweep import (
     ControllerSpec,
     RunSpec,
     SweepConfig,
     SweepRunner,
 )
+
+BACKEND_KINDS = ("serial", "process-pool")
 
 LEN = 2_000
 
@@ -69,11 +70,6 @@ def no_leftover_plan():
     faults.clear_fault_plan()
 
 
-@pytest.fixture(autouse=True)
-def no_backend_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SWEEP_BACKEND", raising=False)
-
-
 def config_for(kind, **kw):
     """A SweepConfig that forces one concrete backend."""
     if kind == "process-pool":
@@ -82,7 +78,7 @@ def config_for(kind, **kw):
 
 
 class TestConformance:
-    """The acceptance matrix: every backend, same bits."""
+    """The acceptance matrix: both backends, same bits."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -134,28 +130,35 @@ class TestConformance:
 
 
 class TestBackendSelection:
-    def test_create_backend_unknown_kind(self):
-        with pytest.raises(BackendError, match="unknown execution backend"):
-            create_backend("steam-powered")
+    def test_unknown_backend_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown backend 'steam-powered'"):
+            SweepConfig(backend="steam-powered")
 
     def test_env_backend_selection(self, monkeypatch):
+        """No environment switch picks the backend: ``auto`` follows
+        ``jobs`` alone (the retired ``REPRO_SWEEP_BACKEND`` is ignored)."""
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
-        assert SweepConfig(jobs=8).resolved_backend() == "serial"
+        assert SweepConfig(jobs=8).resolved_backend() == "process-pool"
+        assert SweepConfig(jobs=1).resolved_backend() == "serial"
 
     def test_batch_backend_retired(self):
         """The lockstep batch backend is gone: naming it fails up front,
         listing the backends that remain."""
         with pytest.raises(ConfigError, match="'serial', 'process-pool'"):
             SweepConfig(backend="batch")
-        with pytest.raises(BackendError, match="unknown execution backend"):
-            create_backend("batch")
 
     def test_backend_instance_escape_hatch(self):
-        backend = create_backend("serial")
-        records = SweepRunner(
-            SweepConfig(backend=backend, use_cache=False)
-        ).run([spec_for("gzip")])
-        assert records[0].ok
+        """The executor-object escape hatch is gone: ``backend`` takes a
+        name, and an object with the old protocol's methods is rejected
+        when the config is built."""
+
+        class Executor:
+            def submit(self, index, spec, solo=False): ...
+            def drain(self): ...
+            def cancel(self): ...
+
+        with pytest.raises(ConfigError, match="unknown backend"):
+            SweepConfig(backend=Executor())
 
 
 class TestPoolCrashPolicy:
@@ -169,8 +172,7 @@ class TestPoolCrashPolicy:
         journal_path = tmp_path / "sweep.jsonl"
         faults.set_fault_plan(faults.FaultPlan(crash_profiles=("swim",)))
         runner = SweepRunner(
-            config_for("process-pool", retries=0, poison_threshold=2,
-                       journal=journal_path)
+            config_for("process-pool", retries=0, journal=journal_path)
         )
         records = runner.run([spec_for(p) for p in ("gzip", "swim", "vpr")])
         by_profile = {r.spec.profile: r for r in records}
@@ -181,8 +183,8 @@ class TestPoolCrashPolicy:
 
         faults.clear_fault_plan()
         resumed = SweepRunner(
-            config_for("process-pool", retries=0, poison_threshold=2,
-                       journal=journal_path, resume=True)
+            config_for("process-pool", retries=0, journal=journal_path,
+                       resume=True)
         )
         records = resumed.run([spec_for(p) for p in ("gzip", "swim", "vpr")])
         assert [r.status for r in records] == ["ok", "ok", "ok"]
@@ -215,7 +217,9 @@ class TestBackendObservability:
         runner.run([spec_for("gzip")])
         info = runner.metrics.snapshot()["backend"]
         assert info["workers"] == 1
-        assert info["executed"] == 1
+        assert info["respawns"] == 0
+        kinds = [e["event"] for e in info["events"]]
+        assert kinds == ["backend_start", "backend_close"]
 
 
 @pytest.mark.slow

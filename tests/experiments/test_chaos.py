@@ -198,7 +198,7 @@ class TestWorkerCrash:
         """A spec that kills every worker it touches ends up poisoned, and
         the innocents that shared the pool with it still complete."""
         faults.set_fault_plan(faults.FaultPlan(crash_profiles=("swim",)))
-        runner = SweepRunner(SweepConfig(jobs=2, use_cache=False, retries=0, poison_threshold=2))
+        runner = SweepRunner(SweepConfig(jobs=2, use_cache=False, retries=0))
         records = runner.run([spec_for(p) for p in ("gzip", "swim", "vpr")])
         by_profile = {r.spec.profile: r for r in records}
         assert by_profile["swim"].status == "poisoned"
@@ -255,12 +255,19 @@ class TestResultPoisoning:
 
 class TestHang:
     def test_hang_hits_the_timeout(self):
-        faults.set_fault_plan(
-            faults.FaultPlan(hang_profiles=("gzip",), hang_seconds=5.0)
+        """A run far longer than its timeout, in a pool worker, stops at
+        its deadline and comes back as a ``"timeout"`` record while its
+        neighbour finishes."""
+        slow = RunSpec(profile="gzip", trace_length=200_000,
+                       config=default_config(16), label="slow")
+        runner = SweepRunner(
+            SweepConfig(backend="process-pool", jobs=2, use_cache=False,
+                        retries=0, timeout=1.0)
         )
-        runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, retries=0, timeout=0.2))
-        [record] = runner.run([spec_for("gzip")])
-        assert record.status == "timeout"
+        records = runner.run([slow, spec_for("swim")])
+        assert [r.status for r in records] == ["timeout", "ok"]
+        assert "1s timeout" in records[0].error
+        assert runner.metrics.timeouts == 1
 
 
 class TestFaultPlanTransport:
@@ -269,7 +276,6 @@ class TestFaultPlanTransport:
             crash_profiles=("swim", "vpr"),
             crash_token_dir="/tmp/tokens",
             fail_profiles=("gzip",),
-            hang_seconds=1.5,
             nan_profiles=("crafty",),
             corrupt_cache_writes=True,
         )
@@ -298,7 +304,7 @@ class TestFaultPlanTransport:
     @pytest.mark.parametrize("payload,key", [
         ('{"crash_profiles": "gzip"}', "crash_profiles"),
         ('{"crash_profiles": [1, 2]}', "crash_profiles"),
-        ('{"hang_seconds": "soon"}', "hang_seconds"),
+        ('{"fail_profiles": "gzip"}', "fail_profiles"),
         ('{"corrupt_cache_writes": 1}', "corrupt_cache_writes"),
         ('{"scramble_topology": "yes"}', "scramble_topology"),
         ('{"crash_token_dir": 7}', "crash_token_dir"),
@@ -310,12 +316,12 @@ class TestFaultPlanTransport:
 
     def test_wrong_typed_env_plan_degrades_to_no_plan(self, monkeypatch):
         monkeypatch.setattr(faults, "_ACTIVE", None)
-        monkeypatch.setenv(faults.FAULT_PLAN_ENV, '{"hang_seconds": "soon"}')
+        monkeypatch.setenv(faults.FAULT_PLAN_ENV, '{"main_pid": "me"}')
         assert faults.active_plan() is None
 
-    def test_retry_with_backoff_recovers_transient_failure(self, monkeypatch):
+    def test_retry_recovers_transient_failure(self, monkeypatch):
         """A fault that fires only on the first attempt models a transient
-        failure: the retry (with jittered backoff configured) succeeds."""
+        failure: the retry succeeds."""
         faults.set_fault_plan(faults.FaultPlan(fail_profiles=("gzip",)))
         original = faults.on_execute
         calls = {"n": 0}
@@ -326,7 +332,7 @@ class TestFaultPlanTransport:
                 original(spec)
 
         monkeypatch.setattr(faults, "on_execute", fails_once)
-        runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, retries=1, retry_backoff=0.001))
+        runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, retries=1))
         [record] = runner.run([spec_for("gzip")])
         assert record.ok
         assert record.attempts == 2

@@ -197,6 +197,35 @@ class TestSerialRunner:
         assert 0 < m.busy_seconds <= m.wall_seconds  # jobs=1: no overlap
         assert m.snapshot()["jobs"] == 1
 
+    def test_serial_sweep_reports_one_worker(self, monkeypatch):
+        """A serial sweep runs every spec in one process, whatever the job
+        count says, so its utilization is measured against one worker."""
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        runner = SweepRunner(SweepConfig(backend="serial", use_cache=False))
+        runner.run([spec_for(), spec_for("swim")])
+        m = runner.metrics
+        assert m.jobs == 1
+        assert m.worker_utilization == pytest.approx(m.busy_seconds / m.wall_seconds)
+        assert m.worker_utilization > 0.5
+
+    def test_serial_sweep_never_loads_the_process_pool(self):
+        """The serial path imports neither ``concurrent.futures.process``
+        nor ``multiprocessing``, so it pays none of their import time."""
+        code = (
+            "import sys\n"
+            "from repro.api import sweep\n"
+            "from repro.experiments.sweep import RunSpec\n"
+            "sweep([RunSpec(profile='gzip', trace_length=1_000)],"
+            " backend='serial', cache=False).require_ok()\n"
+            "print(sorted(m for m in ('concurrent.futures.process',"
+            " 'multiprocessing') if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, check=True, timeout=120,
+        )
+        assert proc.stdout.decode().strip() == "[]"
+
     def test_progress_hook(self):
         events = []
         runner = SweepRunner(SweepConfig(jobs=1, use_cache=False), progress=events.append)
@@ -248,33 +277,97 @@ class TestFailureHandling:
         assert isinstance(record, RunRecord) and record.status == "failed"
 
 
-class TestFinishedRunsAreFreed:
-    """A finished run is freed by reference counting: with the cyclic
-    collector off, no processor outlives the :func:`execute_spec` call."""
+class TestDeadline:
+    """``timeout`` is a wall-clock deadline the run checks between
+    cycle-bounded chunks: a run that meets it is bit-identical to an
+    unbounded one."""
 
     @pytest.mark.parametrize(
         "spec",
         [
-            RunSpec(
-                profile="gzip",
-                trace_length=LEN,
-                config=dataclasses.replace(
-                    decentralized_config(16), check_invariants=True
-                ),
-                controller=ControllerSpec.explore(),
-                warmup=300,
-                faults=FaultSchedule((
-                    FaultEvent(cycle=300, kind="cluster_kill", cluster=3),
-                    FaultEvent(cycle=900, kind="cluster_restore", cluster=3),
-                )),
-            ),
+            spec_for("swim", ControllerSpec.explore(), length=6_000),
+            dataclasses.replace(spec_for("vpr"), record_granularity=100),
             multiprog_run_spec(
-                MultiProgSpec(workloads=("gzip", "swim"), trace_length=1_500)
+                MultiProgSpec(workloads=("gzip", "swim"), trace_length=2_000,
+                              epoch_cycles=400)
             ),
         ],
-        ids=["decentralized-explore-faults", "multiprog"],
+        ids=["single-thread", "record-granularity", "multiprog"],
     )
-    def test_no_processor_survives_the_run(self, spec):
+    def test_generous_timeout_changes_nothing(self, spec):
+        unbounded = execute_spec(spec)
+        bounded = execute_spec(spec, timeout=600)
+        assert unbounded.ok and bounded.ok
+        assert bounded.result == unbounded.result
+        assert bounded.records == unbounded.records
+        assert bounded.multiprog_result == unbounded.multiprog_result
+
+    def test_each_leg_is_one_advance_without_a_deadline(self):
+        """No deadline: warmup and the measured run are one ``advance``
+        call each, as an unchunked run; a deadline splits them."""
+        trace = generate_trace(get_profile("gzip"), LEN, seed=7)
+        calls = []
+        real = ClusteredProcessor.advance
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("until_cycle"))
+            return real(self, *args, **kwargs)
+
+        with mock.patch.object(ClusteredProcessor, "advance", counted):
+            plain = run_trace(trace, default_config(16), warmup=500)
+            assert calls == [None, None]
+            calls.clear()
+            chunked = run_trace(trace, default_config(16), warmup=500,
+                                deadline=time.monotonic() + 600)
+        assert len(calls) > 2 and None not in calls
+        assert chunked.stats == plain.stats
+
+    def test_multiprog_run_times_out(self):
+        spec = multiprog_run_spec(
+            MultiProgSpec(workloads=("gzip", "swim"), trace_length=60_000)
+        )
+        record = execute_spec(spec, timeout=0.05)
+        assert record.status == "timeout", record.error
+
+
+class TestFinishedRunsAreFreed:
+    """A finished run, and one that ends in a raise, is freed by reference
+    counting: with the cyclic collector off, no processor outlives the
+    :func:`execute_spec` call."""
+
+    @pytest.mark.parametrize(
+        "spec,timeout,status",
+        [
+            (
+                RunSpec(
+                    profile="gzip",
+                    trace_length=LEN,
+                    config=dataclasses.replace(
+                        decentralized_config(16), check_invariants=True
+                    ),
+                    controller=ControllerSpec.explore(),
+                    warmup=300,
+                    faults=FaultSchedule((
+                        FaultEvent(cycle=300, kind="cluster_kill", cluster=3),
+                        FaultEvent(cycle=900, kind="cluster_restore", cluster=3),
+                    )),
+                ),
+                None,
+                "ok",
+            ),
+            (
+                multiprog_run_spec(
+                    MultiProgSpec(workloads=("gzip", "swim"), trace_length=1_500)
+                ),
+                None,
+                "ok",
+            ),
+            # ends in a raise: the run's owner releases it in a finally
+            (spec_for("swim", ControllerSpec.explore(), length=30_000), 0.5, "timeout"),
+        ],
+        ids=["decentralized-explore-faults", "multiprog", "timeout"],
+    )
+    def test_no_processor_survives_the_run(self, spec, timeout, status):
         def processors():
             return [o for o in gc.get_objects() if isinstance(o, ClusteredProcessor)]
 
@@ -282,13 +375,13 @@ class TestFinishedRunsAreFreed:
         before = processors()
         gc.disable()
         try:
-            record = execute_spec(spec)
+            record = execute_spec(spec, timeout)
             survivors = [
                 o for o in processors() if all(o is not b for b in before)
             ]
         finally:
             gc.enable()
-        assert record.ok, record.error
+        assert record.status == status, record.error
         assert survivors == []
 
 
@@ -395,24 +488,21 @@ class TestTraceLifetime:
 
 
 class TestTimeoutWithoutSigalrm:
-    def test_non_main_thread_runs_unbounded_instead_of_crashing(self):
-        """SIGALRM cannot be armed outside the main thread (or off Unix);
-        execute_spec must fall back to an unbounded run, not crash —
-        documented platform caveat in docs/SWEEPS.md."""
+    def test_non_main_thread_run_times_out(self):
+        """The deadline needs no signal, so a run on a worker thread is
+        bounded too: it ends as a timeout record, not an unbounded run."""
         import threading
 
         out = {}
 
         def worker():
-            out["record"] = execute_spec(spec_for(), timeout=0.0001)
+            out["record"] = execute_spec(spec_for(length=200_000), timeout=0.05)
 
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join(timeout=120)
         assert not thread.is_alive()
-        # the timeout was far exceeded, but with no alarm available the
-        # run completes ok rather than raising or killing the thread
-        assert out["record"].ok
+        assert out["record"].status == "timeout", out["record"].error
 
 
 class TestResultCache:
@@ -586,9 +676,7 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="retries"):
             SweepConfig(retries=-1)
 
-    def test_resolved_backend_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_BACKEND", raising=False)
+    def test_resolved_backend_auto(self):
         assert SweepConfig(jobs=1).resolved_backend() == "serial"
         assert SweepConfig(jobs=4).resolved_backend() == "process-pool"
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
-        assert SweepConfig(jobs=4).resolved_backend() == "serial"
+        assert SweepConfig(jobs=4, backend="serial").resolved_backend() == "serial"

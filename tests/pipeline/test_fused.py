@@ -8,7 +8,8 @@
   on exactly this.
 * **run_trace's lifecycle** (fused warmup leg, then ``run()``) matches the
   same lifecycle driven on the naive reference loop, including the
-  commit bound and the warmup clamp on tiny traces.
+  commit bound and the warmup clamp on tiny traces; both legs run under
+  the wedge guard.
 * **The booking horizon.**  The fused loop forgets link and port bookings
   older than the ROB head's dispatch, so a run holds what its work in
   flight booked, not what its whole trace booked; the exactness suites
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clusters.steering import SteeringHeuristic
 from repro.config import decentralized_config, default_config, torus_config
 from repro.core import DistantILPController, NoExploreConfig, StaticController
 from repro.errors import SimulationError
@@ -167,6 +169,18 @@ class TestRunTrace:
         assert result.committed == len(trace)
         assert result.cycles == result.stats.cycles == cycles
         assert dataclasses.asdict(result.stats) == dataclasses.asdict(stats)
+
+    def test_warmup_leg_is_wedge_guarded(self):
+        """A pipeline that never dispatches stops with the wedge error
+        during warmup too, instead of spinning forever."""
+
+        class NeverSteer(SteeringHeuristic):
+            def choose(self, instr, producer_clusters, active, preferred=None):
+                return None
+
+        trace = generate_trace(get_profile("gzip"), 1_500, seed=7)
+        with pytest.raises(SimulationError, match="pipeline wedged"):
+            run_trace(trace, default_config(16), warmup=500, steering=NeverSteer)
 
 
 class TestFusedCoreGuards:

@@ -86,6 +86,16 @@ RETIRED = [
         ),
         "a tracer's reconfig events (repro.observability)",
     ),
+    (
+        "pluggable backend layer",
+        re.compile(
+            r"\bExecutionBackend\b|\bcreate_backend\b|\bexperiments[./]backends\b"
+            r"|\bREPRO_SWEEP_BACKEND\b|\bretry_backoff\b|\bpoison_threshold\b"
+            r"|\bhang_profiles\b|\bhang_seconds\b"
+        ),
+        'backend="serial" or "process-pool"; quarantine after 3 solo '
+        "crashes; a long spec with a short timeout for the timeout path",
+    ),
 ]
 
 #: docs/<NAME>.md references must resolve against the real docs tree
@@ -184,6 +194,9 @@ def test_lint_catches_retired_spellings():
         ),
         "wrong-path fetch": "FrontEndConfig(model_wrong_path=True)",
         "timeline recorder": "from repro.experiments.timeline import TimelineRecorder",
+        "pluggable backend layer": (
+            'SweepConfig(backend=create_backend("serial"), retry_backoff=0.5)'
+        ),
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"

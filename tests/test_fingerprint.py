@@ -10,8 +10,9 @@ Each case's untraced SimStats is additionally pinned as a digest in
 ``golden_fingerprints.json``: any change to simulator timing on any
 topology (including torus and ring-of-rings) fails here first.  The
 multiprogrammed co-scheduler is pinned the same way, one digest over the
-merged and per-thread statistics of each run.  After an intentional
-timing change, regenerate with::
+merged and per-thread statistics of each run, and so are three longer
+decision runs that reach controller choices the 3,000-instruction gzip
+keys never make.  After an intentional timing change, regenerate with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/test_fingerprint.py
@@ -85,6 +86,12 @@ MULTIPROG_KILL_RESTORE = FaultSchedule((
     FaultEvent(cycle=350, kind="cluster_kill", cluster=5),
     FaultEvent(cycle=1100, kind="cluster_restore", cluster=5),
 ))
+
+#: runs that reach what the keys above do not: an explore controller that
+#: finishes exploring, no-explore entering its measurement phase, and the
+#: subroutine controller; ``profile/trace length/policy`` on the ring, at
+#: seed 13, pinned under ``decision/<run>``
+DECISION_RUNS = ("swim/6000/explore", "swim/6000/no-explore", "gzip/3000/subroutine")
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_fingerprints.json")
 
@@ -164,9 +171,22 @@ def test_multiprog_kill_restore_matches_golden():
     _check_golden("multiprog/gzip+swim/torus/comm-aware+kill-restore", digest)
 
 
+def _decision_fingerprint(run):
+    profile, length, policy = run.split("/")
+    trace = generate_trace(get_profile(profile), int(length), seed=13)
+    return fingerprint(simulate(trace, reconfig_policy=policy, warmup=500).stats)
+
+
+@pytest.mark.parametrize("run", DECISION_RUNS)
+def test_decision_run_matches_golden(run):
+    _check_golden(f"decision/{run}", _decision_fingerprint(run))
+
+
 def golden_digest(key):
     """Recompute the untraced digest that ``golden_fingerprints.json``
     pins under ``key``."""
+    if key.startswith("decision/"):
+        return _decision_fingerprint(key[len("decision/"):])
     if key.startswith("multiprog/"):
         _, mix, topology, run = key.split("/")
         arbiter, _, scenario = run.partition("+")
