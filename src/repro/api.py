@@ -50,21 +50,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
-from .config import (
-    ProcessorConfig,
-    decentralized_config,
-    default_config,
-    grid_config,
-    monolithic_config,
-    ring_of_rings_config,
-    torus_config,
-)
+from .config import TOPOLOGIES, ProcessorConfig, monolithic_config
 from .errors import ConfigError
 from .multiprog import MultiProgResult, MultiProgSpec, run_multiprog
 from .resilience import FaultSchedule
-from .stats import SimStats
+from .stats import RunResult
 from .workloads.instruction import Trace
 from .workloads.profiles import BENCHMARK_NAMES, get_profile
 
@@ -78,16 +70,8 @@ __all__ = [
     "sweep",
 ]
 
-#: topology name -> ProcessorConfig factory (takes the cluster count)
-_TOPOLOGIES: Dict[str, Callable[[int], ProcessorConfig]] = {
-    "ring": default_config,
-    "grid": grid_config,
-    "torus": torus_config,
-    "ring-of-rings": ring_of_rings_config,
-    "decentralized": decentralized_config,
-}
-
-_POLICIES = ("none", "explore", "no-explore", "finegrain", "subroutine")
+#: the facade's name for the one result type, :class:`repro.stats.RunResult`
+SimResult = RunResult
 
 
 # ----------------------------------------------------------------------
@@ -140,11 +124,11 @@ class SimSpec:
             return self.processor
         if self.topology == "monolithic":
             return monolithic_config()
-        factory = _TOPOLOGIES.get(self.topology)
+        factory = TOPOLOGIES.get(self.topology)
         if factory is None:
             raise ConfigError(
                 f"unknown topology {self.topology!r}; choose from "
-                f"{sorted(_TOPOLOGIES) + ['monolithic']}"
+                f"{sorted(TOPOLOGIES) + ['monolithic']}"
             )
         return factory(self.clusters)
 
@@ -152,32 +136,7 @@ class SimSpec:
         """The :class:`ControllerSpec` equivalent of ``reconfig_policy``."""
         from .experiments.sweep import ControllerSpec
 
-        policy = self.reconfig_policy
-        if isinstance(policy, ControllerSpec):
-            return policy
-        if not isinstance(policy, str):
-            raise ConfigError(
-                f"reconfig_policy must be a string or ControllerSpec, "
-                f"got {type(policy).__name__}"
-            )
-        if policy in ("none", ""):
-            return ControllerSpec.none()
-        if policy.startswith("static-"):
-            return ControllerSpec.static(int(policy.split("-", 1)[1]))
-        if policy == "static":
-            return ControllerSpec.static(self.clusters)
-        if policy == "explore":
-            return ControllerSpec.explore()
-        if policy == "no-explore":
-            return ControllerSpec.no_explore()
-        if policy == "finegrain":
-            return ControllerSpec.finegrain()
-        if policy == "subroutine":
-            return ControllerSpec.subroutine()
-        raise ConfigError(
-            f"unknown reconfig_policy {policy!r}; choose from "
-            f"{_POLICIES + ('static-<n>',)}"
-        )
+        return ControllerSpec.parse(self.reconfig_policy, self.clusters)
 
     def to_run_spec(self):
         """The sweep-engine :class:`RunSpec` for this simulation.
@@ -207,40 +166,6 @@ class SimSpec:
             max_instructions=self.max_instructions,
             faults=self.faults,
         )
-
-
-@dataclass(frozen=True)
-class SimResult:
-    """Steady-state outcome of one simulation (measurement excludes warmup)."""
-
-    name: str
-    label: str
-    ipc: float
-    committed: int
-    cycles: int
-    mispredict_interval: float
-    avg_active_clusters: float
-    reconfigurations: int
-    stats: SimStats
-
-    def speedup_over(self, other: "SimResult") -> float:
-        if other.ipc == 0:
-            return float("inf")
-        return self.ipc / other.ipc
-
-
-def _to_sim_result(run_result) -> SimResult:
-    return SimResult(
-        name=run_result.name,
-        label=run_result.label,
-        ipc=run_result.ipc,
-        committed=run_result.committed,
-        cycles=run_result.cycles,
-        mispredict_interval=run_result.mispredict_interval,
-        avg_active_clusters=run_result.avg_active_clusters,
-        reconfigurations=run_result.reconfigurations,
-        stats=run_result.stats,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +267,7 @@ def simulate(
     finally:
         if session is not None:
             session.close()
-    return _to_sim_result(result)
+    return result
 
 
 def _simulate_multiprog(workload, trace, kwargs) -> MultiProgResult:
@@ -398,10 +323,7 @@ class SweepResult:
 
     @property
     def results(self) -> List[Optional[SimResult]]:
-        return [
-            _to_sim_result(r.result) if r.ok and r.result is not None else None
-            for r in self.records
-        ]
+        return [r.result if r.ok else None for r in self.records]
 
     def require_ok(self) -> "SweepResult":
         """Raise :class:`~repro.errors.SweepError` on any failed record."""

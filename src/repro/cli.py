@@ -6,7 +6,8 @@ Examples::
     python -m repro run gzip --clusters 4         # one static simulation
     python -m repro run swim --controller explore # dynamic reconfiguration
     python -m repro run swim --controller explore --trace out/  # + trace
-    python -m repro figure3 --length 20000        # regenerate an exhibit
+    python -m repro figure3 > results/figure3.txt # regenerate an exhibit
+    python -m repro figure3 --length 20000        # ... at another length
     python -m repro figure5 --jobs 4 --resume     # restart a killed sweep
     python -m repro table4 --benchmarks swim,crafty
 """
@@ -18,42 +19,11 @@ import sys
 from typing import List, Optional, Sequence
 
 from .api import simulate
-from .experiments import (
-    fig_multiprog,
-    fig_resilience,
-    figure3,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    print_fig_multiprog,
-    print_fig_resilience,
-    print_figure3,
-    print_figure5,
-    print_figure6,
-    print_figure7,
-    print_figure8,
-    print_table3,
-    print_table4,
-    table3,
-    table4,
-)
-from .errors import SweepError, SweepInterrupted
+from .errors import ConfigError, SweepError, SweepInterrupted
+from .experiments import EXHIBITS
 from .experiments.reporting import format_failure_table, format_sweep_metrics
 from .experiments.sweep import SweepConfig, SweepRunner, default_cache_dir
 from .workloads.profiles import BENCHMARK_NAMES, PAPER_TABLE3, get_profile
-
-_EXHIBITS = {
-    "figure3": (figure3, print_figure3),
-    "figure5": (figure5, print_figure5),
-    "figure6": (figure6, print_figure6),
-    "figure7": (figure7, print_figure7),
-    "figure8": (figure8, print_figure8),
-    "table3": (table3, print_table3),
-    "table4": (table4, print_table4),
-    "fig_multiprog": (fig_multiprog, print_fig_multiprog),
-    "fig_resilience": (fig_resilience, print_fig_resilience),
-}
 
 _MACHINES = ("ring", "grid", "decentralized", "monolithic")
 
@@ -69,6 +39,9 @@ def _parse_benchmarks(spec: Optional[str]) -> Sequence[str]:
 
 
 _EPILOG = """\
+every exhibit command prints the text of results/<exhibit>.txt:
+  python -m repro sensitivity --jobs 4 > results/sensitivity.txt
+
 sweep execution flags (every exhibit command):
   --jobs N --no-cache --timeout SECONDS      parallelism and caching
   --backend serial|process-pool              how specs execute (auto)
@@ -118,12 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write structured trace output (events.jsonl, "
                           "timeline.csv, Perfetto trace.json) to DIR")
 
-    for name in _EXHIBITS:
-        ex = sub.add_parser(name, help=f"regenerate {name}")
+    for name in EXHIBITS:
+        ex = sub.add_parser(name, help=f"regenerate results/{name}.txt")
         ex.add_argument("--benchmarks", default="",
-                        help="comma-separated subset (default: all nine)")
+                        help="comma-separated benchmarks (default: the "
+                             "exhibit's own, for most all nine)")
         ex.add_argument("--length", type=int, default=None,
-                        help="trace length (default: 60000 x REPRO_TRACE_SCALE)")
+                        help="trace length (default: the exhibit's own, "
+                             "for most 60000 x REPRO_TRACE_SCALE)")
         ex.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the sweep "
                              "(default: REPRO_JOBS or cpu_count-1)")
@@ -206,55 +181,29 @@ def _journal_path(name: str, args: argparse.Namespace):
 
 
 def _cmd_exhibit(name: str, args: argparse.Namespace) -> int:
-    generate, render = _EXHIBITS[name]
-    benchmarks = _parse_benchmarks(args.benchmarks)
-    if name == "fig_multiprog":
-        # the multiprog exhibit co-schedules its benchmarks as one thread
-        # mix rather than iterating them, so "all nine" is not a default
-        if not args.benchmarks:
-            from .experiments.figures import MULTIPROG_MIX
-
-            benchmarks = MULTIPROG_MIX
-        elif not 2 <= len(benchmarks) <= 4:
-            raise SystemExit(
-                "fig_multiprog co-schedules 2-4 benchmarks, got "
-                f"{len(benchmarks)}: {','.join(benchmarks)}"
-            )
-    if name == "fig_resilience":
-        # one carrier benchmark swept across topologies x policies x rates
-        from .experiments.figures import RESILIENCE_BENCH
-
-        if not args.benchmarks:
-            benchmarks = (RESILIENCE_BENCH,)
-        elif len(benchmarks) != 1:
-            raise SystemExit(
-                "fig_resilience takes exactly one carrier benchmark, got "
-                f"{len(benchmarks)}: {','.join(benchmarks)}"
-            )
-    runner = SweepRunner(
-        SweepConfig(
-            backend=args.backend,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            timeout=args.timeout,
-            journal=_journal_path(name, args),
-            resume=args.resume,
-            trace_dir=args.trace,
-        )
-    )
+    generate, render = EXHIBITS[name]
+    # only what the user gave: each generator owns its defaults
+    benchmarks = _parse_benchmarks(args.benchmarks) if args.benchmarks else None
     try:
-        if name == "fig_resilience":
-            results = generate(
-                benchmark=benchmarks[0],
-                trace_length=args.length,
-                runner=runner,
+        runner = SweepRunner(
+            SweepConfig(
+                backend=args.backend,
+                jobs=args.jobs,
+                use_cache=not args.no_cache,
+                timeout=args.timeout,
+                journal=_journal_path(name, args),
+                resume=args.resume,
+                trace_dir=args.trace,
             )
-        else:
-            results = generate(
-                benchmarks=benchmarks,
-                trace_length=args.length,
-                runner=runner,
-            )
+        )
+        results = generate(
+            benchmarks=benchmarks, trace_length=args.length, runner=runner
+        )
+    except ConfigError as error:
+        # a bad argument, such as --timeout -1 or a 5-thread fig_multiprog
+        # mix, fails before any run starts
+        print(error, file=sys.stderr)
+        return 2
     except SweepInterrupted as interrupt:
         print(f"\n{interrupt}", file=sys.stderr)
         if runner.journal is not None:
@@ -267,12 +216,7 @@ def _cmd_exhibit(name: str, args: argparse.Namespace) -> int:
         print(format_failure_table(failure.records), file=sys.stderr)
         print(f"\n{format_sweep_metrics(runner.metrics)}", file=sys.stderr)
         return 1
-    if name == "fig_multiprog":
-        print(render(results, benchmarks))
-    elif name == "fig_resilience":
-        print(render(results, benchmarks[0]))
-    else:
-        print(render(results))
+    print(render(results))
     print(f"\n{format_sweep_metrics(runner.metrics)}", file=sys.stderr)
     if args.metrics_json:
         import json

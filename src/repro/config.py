@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from .errors import ConfigError
 
@@ -72,7 +72,6 @@ ENV_SWITCHES = {
     "REPRO_CACHE_DIR": ("env_text", "sweep result-cache directory"),
     "REPRO_JOBS": ("env_int", "default worker count for default_jobs()"),
     "REPRO_TRACE_SCALE": ("env_float", "multiplies benchmark trace lengths"),
-    "REPRO_BENCH_CACHE": ("env_flag", "let pytest benchmarks/ use the cache"),
     "REPRO_CHECK_INVARIANTS": ("env_flag", "sampled simulator invariant checks"),
     "REPRO_FAULT_PLAN": ("env_text", "armed fault-injection plan (JSON)"),
     "REPRO_HYPOTHESIS_PROFILE": ("env_text", "hypothesis test profile"),
@@ -232,7 +231,7 @@ class ProcessorConfig:
     def __post_init__(self) -> None:
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
-        if self.interconnect.topology not in ("ring", "grid", "torus", "ring-of-rings"):
+        if self.interconnect.topology not in FABRICS:
             raise ConfigError(f"unknown topology {self.interconnect.topology!r}")
         if self.memory.organization not in ("centralized", "decentralized"):
             raise ConfigError(
@@ -316,3 +315,17 @@ def monolithic_config() -> ProcessorConfig:
         interconnect=InterconnectConfig(topology="ring", model_contention=False),
     )
 
+
+#: topology name -> ProcessorConfig factory (takes the cluster count): the
+#: one machine vocabulary of the facade, the exhibits and the co-scheduler
+TOPOLOGIES: Dict[str, Callable[[int], ProcessorConfig]] = {
+    "ring": default_config,
+    "grid": grid_config,
+    "torus": torus_config,
+    "ring-of-rings": ring_of_rings_config,
+    "decentralized": decentralized_config,
+}
+
+#: the interconnect fabrics: every topology but ``decentralized``, which is
+#: the ring with a cache bank in each cluster instead of the central cache
+FABRICS: Tuple[str, ...] = tuple(t for t in TOPOLOGIES if t != "decentralized")

@@ -1,11 +1,13 @@
-"""One entry point per paper exhibit (Figures 3, 5, 6, 7, 8 and the
-Section 4/5/6 text numbers).
+"""One entry point per paper exhibit (Figures 3, 5, 6, 7, 8, the
+Section 4/5/6 text numbers, the steering ablation and the two extension
+exhibits), and :data:`EXHIBITS`, the registry of all of them with
+Tables 3 and 4.
 
 Each ``figure*`` function returns ``{benchmark: {scheme: RunResult}}`` and
-has a matching ``print_*`` helper used by the benchmark harness.  Schemes
-are declarative :class:`~repro.experiments.sweep.ControllerSpec` recipes so
-every run gets a fresh controller — and so the whole matrix can fan out
-across a :class:`~repro.experiments.sweep.SweepRunner` worker pool; pass
+has a matching ``print_*`` renderer.  Schemes are declarative
+:class:`~repro.experiments.sweep.ControllerSpec` recipes so every run gets
+a fresh controller — and so the whole matrix can fan out across a
+:class:`~repro.experiments.sweep.SweepRunner` worker pool; pass
 ``runner=`` to parallelize or cache (the default is the serial, uncached
 reference path, which is bit-identical by construction).
 """
@@ -13,30 +15,31 @@ reference path, which is bit-identical by construction).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import (
+    TOPOLOGIES,
     ClusterConfig,
     ProcessorConfig,
     decentralized_config,
     default_config,
     grid_config,
-    ring_of_rings_config,
-    torus_config,
 )
 from ..core import ExploreConfig, NoExploreConfig
+from ..errors import ConfigError
 from ..workloads.profiles import BENCHMARK_NAMES
-from .reporting import geomean, ipc_table
+from .reporting import format_table, geomean, ipc_table, multiprog_table
 from .runner import DEFAULT_SEED, RunResult, scaled_length
-from .sweep import ControllerSpec, RunSpec, SweepConfig, SweepRunner, require_ok
+from .sweep import ControllerSpec, RunSpec, SweepRunner, require_ok, serial_runner
+from .tables import print_table3, print_table4, table3, table4
 
 #: the two base cases shown in every results figure of the paper
 BASE_SCHEMES = ("static-4", "static-16")
 
-
-def _serial_runner() -> SweepRunner:
-    """The reference path: in-process, no cache, no pool."""
-    return SweepRunner(SweepConfig(backend="serial", use_cache=False))
+#: default trace length (before ``REPRO_TRACE_SCALE``) of the idealization,
+#: sensitivity and steering exhibits, whose matrices are the widest
+SHORT_TRACE_LENGTH = 40_000
 
 
 def _standard_schemes() -> Dict[str, ControllerSpec]:
@@ -49,17 +52,19 @@ def _standard_schemes() -> Dict[str, ControllerSpec]:
 def run_matrix(
     schemes: Mapping[str, ControllerSpec],
     config_for,
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     seed: int = DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
-    """Run every benchmark under every scheme on a shared trace.
+    """Run every benchmark (default: all nine) under every scheme on a
+    shared trace.
 
     ``config_for(scheme_name)`` supplies the processor configuration (most
     exhibits ignore the name; the idealization study does not).
     """
-    runner = runner or _serial_runner()
+    benchmarks = benchmarks or BENCHMARK_NAMES
+    runner = runner or serial_runner()
     length = trace_length if trace_length is not None else scaled_length()
     specs = [
         RunSpec(
@@ -89,7 +94,7 @@ def _ipc_view(results: Mapping[str, Mapping[str, RunResult]]) -> Dict[str, Dict[
 
 
 def figure3(
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
@@ -126,7 +131,7 @@ def figure5_schemes(
 
 
 def figure5(
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
@@ -162,7 +167,7 @@ def print_figure5(results: Mapping[str, Mapping[str, RunResult]]) -> str:
 
 
 def figure6(
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
@@ -191,7 +196,7 @@ def print_figure6(results: Mapping[str, Mapping[str, RunResult]]) -> str:
 
 
 def figure7(
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
@@ -241,7 +246,7 @@ def print_figure7(results: Mapping[str, Mapping[str, RunResult]]) -> str:
 
 
 def figure8(
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
@@ -267,7 +272,7 @@ def print_figure8(results: Mapping[str, Mapping[str, RunResult]]) -> str:
 
 
 def idealized_communication(
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     organization: str = "centralized",
     runner: Optional[SweepRunner] = None,
@@ -277,6 +282,8 @@ def idealized_communication(
     The paper reports +31%/+11% (centralized, 16 clusters) and +29%/+27%
     (decentralized) for free load-store and free register communication.
     """
+    if trace_length is None:
+        trace_length = scaled_length(SHORT_TRACE_LENGTH)
     base = default_config(16) if organization == "centralized" else decentralized_config(16)
 
     def config_for(scheme: str) -> ProcessorConfig:
@@ -332,8 +339,13 @@ def sensitivity_variants() -> Dict[str, ProcessorConfig]:
     }
 
 
+#: one representative per behaviour class keeps the sensitivity cube
+#: (5 variants x 3 schemes x benchmarks) tractable
+SENSITIVITY_BENCHMARKS = ("cjpeg", "gzip", "swim", "vpr", "djpeg", "mgrid")
+
+
 def sensitivity(
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
@@ -342,20 +354,21 @@ def sensitivity(
     The whole (variant x benchmark x scheme) cube goes to the runner as one
     batch so a worker pool sees maximum parallelism.
     """
-    runner = runner or _serial_runner()
-    length = trace_length if trace_length is not None else scaled_length()
+    runner = runner or serial_runner()
+    if trace_length is None:
+        trace_length = scaled_length(SHORT_TRACE_LENGTH)
     schemes = _standard_schemes()
     schemes["interval-explore"] = ControllerSpec.explore()
 
     specs: List[RunSpec] = []
     keys: List[Tuple[str, str, str]] = []
     for variant, config in sensitivity_variants().items():
-        for bench in benchmarks:
+        for bench in benchmarks or SENSITIVITY_BENCHMARKS:
             for scheme, spec in schemes.items():
                 specs.append(
                     RunSpec(
                         profile=bench,
-                        trace_length=length,
+                        trace_length=trace_length,
                         config=config,
                         controller=spec,
                         label=scheme,
@@ -383,17 +396,65 @@ def print_sensitivity(results: Mapping[str, Mapping[str, Mapping[str, RunResult]
             [variant, gm["static-4"], gm["static-16"], gm["interval-explore"],
              f"{100 * (gm['interval-explore'] / best - 1):+.1f}%"]
         )
-    return format_table_local(
+    return format_table(
         ["variant", "static-4", "static-16", "interval-explore", "improvement"],
         rows,
         "Section 6 sensitivity (geomean IPC)",
     )
 
 
-def format_table_local(headers, rows, title):
-    from .reporting import format_table
+# ----------------------------------------------------------------------
+# Section 2.1 design choice: steering heuristics
 
-    return format_table(headers, rows, title)
+
+#: the steering ablation's benchmarks: serial, branchy and wide codes
+STEERING_BENCHMARKS = ("cjpeg", "gzip", "swim", "vpr", "djpeg")
+
+#: scheme name -> RunSpec.steering override (None = producer default)
+STEERINGS = {"producer": None, "mod-3": ("mod-n", 3), "first-fit": ("first-fit",)}
+
+
+def steering_ablation(
+    benchmarks: Optional[Sequence[str]] = None,
+    trace_length: Optional[int] = None,
+    runner: Optional[SweepRunner] = None,
+) -> Dict[str, Dict[str, float]]:
+    """IPC of each steering heuristic on a 16-cluster machine.
+
+    The paper steers by producer preference with a criticality tiebreak
+    and a load-imbalance threshold, which it notes can approximate Mod_N
+    (balance first) and First_Fit (communication first) by tuning the
+    threshold.  Returns ``{benchmark: {scheme: ipc}}``.
+    """
+    runner = runner or serial_runner()
+    if trace_length is None:
+        trace_length = scaled_length(SHORT_TRACE_LENGTH)
+    specs = [
+        RunSpec(
+            profile=bench,
+            trace_length=trace_length,
+            config=default_config(16),
+            label=scheme,
+            steering=steering,
+            warmup=min(6_000, trace_length // 4),
+        )
+        for bench in benchmarks or STEERING_BENCHMARKS
+        for scheme, steering in STEERINGS.items()
+    ]
+    out: Dict[str, Dict[str, float]] = {}
+    for record in require_ok(runner.run(specs)):
+        out.setdefault(record.spec.profile, {})[record.spec.label] = record.result.ipc
+    return out
+
+
+def print_steering_ablation(results: Mapping[str, Mapping[str, float]]) -> str:
+    rows = [[b] + [results[b][s] for s in STEERINGS] for b in sorted(results)]
+    rows.append(["geomean"] + [geomean(by[s] for by in results.values()) for s in STEERINGS])
+    return format_table(
+        ["benchmark"] + list(STEERINGS),
+        rows,
+        "Steering-heuristic ablation (16 clusters, centralized cache)",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -409,16 +470,18 @@ MULTIPROG_MIX = ("gzip", "swim")
 
 
 def fig_multiprog(
-    benchmarks: Sequence[str] = MULTIPROG_MIX,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
+    seed: int = DEFAULT_SEED,
     fabrics: Sequence[str] = MULTIPROG_FABRICS,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
+) -> Dict[Tuple[str, ...], Dict[str, Dict[str, Dict[str, float]]]]:
     """Fairness/throughput of every arbiter on every fabric.
 
-    ``benchmarks`` is the co-scheduled thread mix (2-4 profile names).
-    Returns ``{arbiter: {fabric: metrics}}`` where ``metrics`` holds
+    ``benchmarks`` is the co-scheduled thread mix: 2-4 profile names
+    (default :data:`MULTIPROG_MIX`); any other count raises
+    :class:`~repro.errors.ConfigError` before a run starts.  Returns
+    ``{mix: {arbiter: {fabric: metrics}}}`` where ``metrics`` holds
     ``weighted_speedup`` (vs. each thread running alone on the same
     fabric, measured in the same sweep batch), ``throughput_ipc``,
     ``harmonic_mean_ipc``, ``arb_grants``, and ``arb_reclaims``.
@@ -427,18 +490,19 @@ def fig_multiprog(
     from ..multiprog.spec import DEFAULT_TRACE_LENGTH
     from .sweep import multiprog_run_spec
 
-    mix = tuple(benchmarks)
+    # the exhibit co-schedules its benchmarks as one thread mix rather
+    # than iterating them, so "all nine" is not a default
+    mix = tuple(benchmarks or MULTIPROG_MIX)
+    if not 2 <= len(mix) <= 4:
+        raise ConfigError(
+            f"fig_multiprog co-schedules 2-4 benchmarks, got {len(mix)}: "
+            f"{','.join(mix)}"
+        )
     fabrics = tuple(fabrics)
     arbiters = arbiter_names()
-    runner = runner or _serial_runner()
+    runner = runner or serial_runner()
     length = trace_length if trace_length is not None else DEFAULT_TRACE_LENGTH
 
-    fabric_factories = {
-        "ring": default_config,
-        "grid": grid_config,
-        "torus": torus_config,
-        "ring-of-rings": ring_of_rings_config,
-    }
     # one batch: the arbiter matrix plus the per-fabric solo baselines
     specs: List[RunSpec] = []
     for fabric in fabrics:
@@ -461,7 +525,7 @@ def fig_multiprog(
                     profile=bench,
                     trace_length=length,
                     seed=thread_seed(seed, index),
-                    config=fabric_factories[fabric](16),
+                    config=TOPOLOGIES[fabric](16),
                     warmup=0,
                     label=f"solo/{fabric}/{index}",
                 )
@@ -491,7 +555,7 @@ def fig_multiprog(
                 "arb_grants": float(mp.arb_grants),
                 "arb_reclaims": float(mp.arb_reclaims),
             }
-    return table
+    return {mix: table}
 
 
 # ----------------------------------------------------------------------
@@ -512,22 +576,6 @@ RESILIENCE_RATES = (0, 1, 2, 4)
 #: faults are visible, with enough ILP that cluster kills cost IPC)
 RESILIENCE_BENCH = "gzip"
 
-_RESILIENCE_CONFIGS = {
-    "ring": default_config,
-    "grid": grid_config,
-    "torus": torus_config,
-    "ring-of-rings": ring_of_rings_config,
-    "decentralized": decentralized_config,
-}
-
-_RESILIENCE_POLICY_SPECS = {
-    "none": ControllerSpec.none,
-    "static-4": lambda: ControllerSpec.static(4),
-    "explore": ControllerSpec.explore,
-    "no-explore": ControllerSpec.no_explore,
-    "finegrain": ControllerSpec.finegrain,
-}
-
 
 def resilience_schedule(
     topology: str, rate: int, trace_length: int, seed: int
@@ -545,7 +593,7 @@ def resilience_schedule(
     from ..interconnect.network import build_topology
     from ..resilience import FaultSchedule
 
-    config = _RESILIENCE_CONFIGS[topology](16)
+    config = TOPOLOGIES[topology](16)
     endpoints = build_topology(
         config.interconnect, config.num_clusters
     ).link_endpoints()
@@ -563,26 +611,38 @@ def resilience_schedule(
 
 
 def fig_resilience(
-    benchmark: str = RESILIENCE_BENCH,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
+    seed: int = DEFAULT_SEED,
     topologies: Sequence[str] = RESILIENCE_TOPOLOGIES,
     policies: Sequence[str] = RESILIENCE_POLICIES,
     rates: Sequence[int] = RESILIENCE_RATES,
-) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:
+) -> Dict[str, Dict[str, Dict[str, Dict[str, Dict[str, float]]]]]:
     """IPC vs. injected-fault rate across topologies x controllers.
 
-    Every (topology, policy, rate) cell runs ``benchmark`` with a seeded
+    ``benchmarks`` names the one carrier benchmark (default
+    :data:`RESILIENCE_BENCH`); any other count raises
+    :class:`~repro.errors.ConfigError` before a run starts.  Every
+    (topology, policy, rate) cell runs it with a seeded
     :class:`~repro.resilience.FaultSchedule` of ``rate`` faults (rate 0
     is the healthy baseline).  Measurement starts at cycle 0 — the
     degraded region *is* the measurement, so there is no warmup to hide
-    it in.  Returns ``{topology: {policy: {"faults=N": metrics}}}`` with
+    it in.  ``policies`` are facade policy names
+    (:meth:`ControllerSpec.parse`).  Returns
+    ``{benchmark: {topology: {policy: {"faults=N": metrics}}}}`` with
     ``ipc``, ``degraded_frac`` (fraction of cycles spent degraded),
     ``recovery_cycles`` (summed kill-to-remap latency), and
     ``faults_injected``.
     """
-    runner = runner or _serial_runner()
+    benchmarks = tuple(benchmarks or (RESILIENCE_BENCH,))
+    if len(benchmarks) != 1:
+        raise ConfigError(
+            "fig_resilience takes exactly one carrier benchmark, got "
+            f"{len(benchmarks)}: {','.join(benchmarks)}"
+        )
+    [benchmark] = benchmarks
+    runner = runner or serial_runner()
     length = trace_length if trace_length is not None else scaled_length()
     topologies = tuple(topologies)
     policies = tuple(policies)
@@ -597,8 +657,8 @@ def fig_resilience(
                         profile=benchmark,
                         trace_length=length,
                         seed=seed,
-                        config=_RESILIENCE_CONFIGS[topology](16),
-                        controller=_RESILIENCE_POLICY_SPECS[policy](),
+                        config=TOPOLOGIES[topology](16),
+                        controller=ControllerSpec.parse(policy),
                         warmup=0,
                         label=f"{topology}/{policy}/{rate}",
                         faults=resilience_schedule(
@@ -621,18 +681,16 @@ def fig_resilience(
             "recovery_cycles": float(stats.recovery_cycles),
             "faults_injected": float(stats.faults_injected),
         }
-    return table
+    return {benchmark: table}
 
 
 def print_fig_resilience(
-    results: Mapping[str, Mapping[str, Mapping[str, Mapping[str, float]]]],
-    benchmark: str = RESILIENCE_BENCH,
+    results: Mapping[str, Mapping[str, Mapping[str, Mapping[str, Mapping[str, float]]]]],
 ) -> str:
-    from .reporting import format_table
-
+    [(benchmark, by_topology)] = results.items()
     blocks = []
     degraded: Dict[str, Dict[str, float]] = {}
-    for topology, by_policy in results.items():
+    for topology, by_policy in by_topology.items():
         policies = list(by_policy)
         rate_labels: List[str] = []
         for policy in policies:
@@ -663,29 +721,28 @@ def print_fig_resilience(
                 for t in degraded
             ],
             "degraded-cycle fraction (policy: "
-            f"{next(iter(next(iter(results.values()))))})",
+            f"{next(iter(next(iter(by_topology.values()))))})",
         )
     )
     return "\n\n".join(blocks)
 
 
 def print_fig_multiprog(
-    results: Mapping[str, Mapping[str, Mapping[str, float]]],
-    benchmarks: Sequence[str] = MULTIPROG_MIX,
+    results: Mapping[Tuple[str, ...], Mapping[str, Mapping[str, Mapping[str, float]]]],
 ) -> str:
     from ..multiprog import arbiter_names
-    from .reporting import multiprog_table
 
-    arbiters = [a for a in arbiter_names() if a in results]
+    [(benchmarks, table)] = results.items()
+    arbiters = [a for a in arbiter_names() if a in table]
     fabrics: List[str] = []
     for arbiter in arbiters:
-        for fabric in results[arbiter]:
+        for fabric in table[arbiter]:
             if fabric not in fabrics:
                 fabrics.append(fabric)
     mix = "+".join(benchmarks)
     blocks = [
         multiprog_table(
-            {a: {f: results[a][f]["weighted_speedup"] for f in fabrics}
+            {a: {f: table[a][f]["weighted_speedup"] for f in fabrics}
              for a in arbiters},
             fabrics,
             arbiters,
@@ -693,15 +750,15 @@ def print_fig_multiprog(
             f"same fabric)",
         ),
         multiprog_table(
-            {a: {f: results[a][f]["throughput_ipc"] for f in fabrics}
+            {a: {f: table[a][f]["throughput_ipc"] for f in fabrics}
              for a in arbiters},
             fabrics,
             arbiters,
             "throughput (total IPC over global cycles)",
         ),
         multiprog_table(
-            {a: {f: results[a][f]["arb_grants"]
-                 + results[a][f]["arb_reclaims"] for f in fabrics}
+            {a: {f: table[a][f]["arb_grants"]
+                 + table[a][f]["arb_reclaims"] for f in fabrics}
              for a in arbiters},
             fabrics,
             arbiters,
@@ -709,3 +766,35 @@ def print_fig_multiprog(
         ),
     ]
     return "\n\n".join(blocks)
+
+
+# ----------------------------------------------------------------------
+# the exhibit registry
+
+
+#: exhibit name -> (generator, renderer), for every exhibit under
+#: ``results/``.  Each generator takes ``(benchmarks=None,
+#: trace_length=None, runner=None)`` and owns its defaults; each renderer
+#: takes the generator's result alone.  ``python -m repro <name>`` prints
+#: the rendered text, which ``results/<name>.txt`` holds.
+EXHIBITS: Dict[str, Tuple[Callable[..., object], Callable[..., str]]] = {
+    "figure3": (figure3, print_figure3),
+    "figure5": (figure5, print_figure5),
+    "figure6": (figure6, print_figure6),
+    "figure7": (figure7, print_figure7),
+    "figure8": (figure8, print_figure8),
+    "table3": (table3, print_table3),
+    "table4": (table4, print_table4),
+    "fig_multiprog": (fig_multiprog, print_fig_multiprog),
+    "fig_resilience": (fig_resilience, print_fig_resilience),
+    "idealized_comm_centralized": (
+        partial(idealized_communication, organization="centralized"),
+        partial(print_idealized, organization="centralized"),
+    ),
+    "idealized_comm_decentralized": (
+        partial(idealized_communication, organization="decentralized"),
+        partial(print_idealized, organization="decentralized"),
+    ),
+    "sensitivity": (sensitivity, print_sensitivity),
+    "steering_ablation": (steering_ablation, print_steering_ablation),
+}

@@ -1,4 +1,4 @@
-"""ASCII reporting helpers for the benchmark harness."""
+"""ASCII reporting helpers for the exhibit renderers."""
 
 from __future__ import annotations
 

@@ -8,16 +8,15 @@ over two billion fast-forwarded instructions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..config import ProcessorConfig, env_float
 from ..pipeline.processor import ClusteredProcessor
-from ..stats import SimStats
+from ..stats import RunResult
 from ..workloads.instruction import Trace
 
 #: environment knob: multiply all default trace lengths (>=1); lets a beefier
-#: machine run closer to paper scale without editing benches
+#: machine run closer to paper scale without editing the exhibits
 TRACE_SCALE_ENV = "REPRO_TRACE_SCALE"
 
 DEFAULT_TRACE_LENGTH = 60_000
@@ -32,26 +31,6 @@ def trace_scale() -> float:
 
 def scaled_length(base: int = DEFAULT_TRACE_LENGTH) -> int:
     return int(base * trace_scale())
-
-
-@dataclass
-class RunResult:
-    """Steady-state metrics of one simulation run."""
-
-    name: str
-    label: str
-    ipc: float
-    committed: int
-    cycles: int
-    mispredict_interval: float
-    avg_active_clusters: float
-    reconfigurations: int
-    stats: SimStats
-
-    def speedup_over(self, other: "RunResult") -> float:
-        if other.ipc == 0:
-            return float("inf")
-        return self.ipc / other.ipc
 
 
 def run_trace(

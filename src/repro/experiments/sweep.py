@@ -94,7 +94,7 @@ from .runner import DEFAULT_WARMUP, RunResult, run_trace
 
 #: environment knob: cache directory (default ``~/.cache/repro``)
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: environment knob: default worker count for CLI/benchmark sweeps
+#: environment knob: default worker count for CLI and exhibit sweeps
 JOBS_ENV = "REPRO_JOBS"
 
 #: bump when the cached payload layout changes
@@ -163,6 +163,35 @@ class ControllerSpec:
     def subroutine(cls, algo: Optional[FineGrainConfig] = None) -> "ControllerSpec":
         return cls("subroutine", algo=algo)
 
+    @classmethod
+    def parse(cls, policy: Union[str, "ControllerSpec"], clusters: int = 16) -> "ControllerSpec":
+        """The spec a policy name stands for, with default constants.
+
+        The names are the facade's ``reconfig_policy`` vocabulary:
+        ``none``, ``static-<n>``, ``static`` (``clusters`` of them),
+        ``explore``, ``no-explore``, ``finegrain`` and ``subroutine``.  A
+        spec passes through unchanged.
+        """
+        if isinstance(policy, cls):
+            return policy
+        if not isinstance(policy, str):
+            raise ConfigError(
+                f"reconfig_policy must be a string or ControllerSpec, "
+                f"got {type(policy).__name__}"
+            )
+        if policy == "":
+            return cls.none()
+        if policy.startswith("static-"):
+            return cls.static(int(policy.split("-", 1)[1]))
+        if policy == "static":
+            return cls.static(clusters)
+        if policy not in _POLICY_SPECS:
+            raise ConfigError(
+                f"unknown reconfig_policy {policy!r}; choose from "
+                f"{tuple(_POLICY_SPECS) + ('static-<n>',)}"
+            )
+        return _POLICY_SPECS[policy]()
+
     def build(self):
         """A fresh controller instance (or ``None`` for ``kind='none'``)."""
         return _CONTROLLER_BUILDERS[self.kind](self)
@@ -178,9 +207,19 @@ _CONTROLLER_BUILDERS: Dict[str, Callable[[ControllerSpec], object]] = {
 }
 
 
+#: policy name -> its spec with default constants (see ControllerSpec.parse)
+_POLICY_SPECS: Dict[str, Callable[[], ControllerSpec]] = {
+    "none": ControllerSpec.none,
+    "explore": ControllerSpec.explore,
+    "no-explore": ControllerSpec.no_explore,
+    "finegrain": ControllerSpec.finegrain,
+    "subroutine": ControllerSpec.subroutine,
+}
+
+
 def _build_steering(spec: Tuple) -> Callable:
     """Steering-override factory from a declarative ``("mod-n", 3)`` /
-    ``("first-fit",)`` tuple (see the steering ablation benchmark)."""
+    ``("first-fit",)`` tuple (see :func:`figures.steering_ablation`)."""
     from ..clusters.steering import FirstFitSteering, ModNSteering
 
     kind = spec[0]
@@ -1172,6 +1211,11 @@ class SweepRunner:
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor(max_workers=width)
+
+
+def serial_runner() -> SweepRunner:
+    """Every exhibit's default runner: in-process, no cache, no pool."""
+    return SweepRunner(SweepConfig(backend="serial", use_cache=False))
 
 
 def require_ok(records: Sequence[RunRecord]) -> List[RunRecord]:

@@ -10,16 +10,16 @@ from ..core.phase import PhaseDetectConfig
 from ..workloads.profiles import BENCHMARK_NAMES, PAPER_TABLE3, PAPER_TABLE4
 from .reporting import format_table
 from .runner import RunResult, scaled_length
-from .sweep import ControllerSpec, RunSpec, SweepConfig, SweepRunner, require_ok
+from .sweep import ControllerSpec, RunSpec, SweepRunner, require_ok, serial_runner
 
 
 def table3(
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, RunResult]:
     """Monolithic-baseline IPC and mispredict interval per benchmark."""
-    runner = runner or SweepRunner(SweepConfig(jobs=1, use_cache=False))
+    runner = runner or serial_runner()
     length = trace_length if trace_length is not None else scaled_length()
     specs = [
         RunSpec(
@@ -29,7 +29,7 @@ def table3(
             controller=ControllerSpec.none(),
             label="mono",
         )
-        for bench in benchmarks
+        for bench in benchmarks or BENCHMARK_NAMES
     ]
     records = require_ok(runner.run(specs))
     return {record.spec.profile: record.result for record in records}
@@ -51,7 +51,7 @@ def print_table3(results: Mapping[str, RunResult]) -> str:
 
 
 def table4(
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+    benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
     granularity: int = 500,
     factors: Sequence[int] = (1, 2, 4, 8, 16, 32),
@@ -72,7 +72,7 @@ def table4(
     the cheap offline reanalysis stays in-process.
     """
     detect = detect or PhaseDetectConfig(ipc_tolerance=0.20)
-    runner = runner or SweepRunner(SweepConfig(jobs=1, use_cache=False))
+    runner = runner or serial_runner()
     length = trace_length if trace_length is not None else scaled_length()
     specs = [
         RunSpec(
@@ -82,7 +82,7 @@ def table4(
             label="record",
             record_granularity=granularity,
         )
-        for bench in benchmarks
+        for bench in benchmarks or BENCHMARK_NAMES
     ]
     records = require_ok(runner.run(specs))
     return {

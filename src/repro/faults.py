@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Tuple
 
 from .errors import FaultInjected
@@ -197,12 +197,12 @@ def on_execute(spec) -> None:
 
 
 def poison_record(record) -> None:
-    """NaN-in-stats fault: corrupt the finished result's IPC in place."""
+    """NaN-in-stats fault: swap the record's result for a NaN-IPC copy."""
     plan = active_plan()
     if plan is None or record.result is None:
         return
     if record.spec.profile in plan.nan_profiles:
-        record.result.ipc = float("nan")
+        record.result = replace(record.result, ipc=float("nan"))
 
 
 def corrupt_cache_payload(data: bytes) -> bytes:

@@ -43,16 +43,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..clusters.steering import ProducerSteering
-from ..config import (
-    ProcessorConfig,
-    default_config,
-    grid_config,
-    ring_of_rings_config,
-    torus_config,
-)
+from ..config import TOPOLOGIES, ProcessorConfig
 from ..errors import RunTimeout, SimulationError
 from ..interconnect.network import build_topology
 from ..observability.tracer import NULL_TRACER, Tracer
@@ -64,15 +58,6 @@ from ..workloads.profiles import get_profile
 from .arbiters import Arbiter, ThreadView, build_arbiter
 from .ledger import ClusterLedger
 from .spec import MultiProgResult, MultiProgSpec, ThreadResult
-
-#: fabric name -> ProcessorConfig factory (multiprog's slice of the
-#: facade topology vocabulary)
-_FABRIC_CONFIGS: Dict[str, Callable[[int], ProcessorConfig]] = {
-    "ring": default_config,
-    "grid": grid_config,
-    "torus": torus_config,
-    "ring-of-rings": ring_of_rings_config,
-}
 
 #: per-thread trace seeds are decorrelated with this stride so identical
 #: profile names still produce independent instruction streams
@@ -86,7 +71,7 @@ def thread_seed(seed: int, index: int) -> int:
 
 def fabric_config(spec: MultiProgSpec) -> ProcessorConfig:
     """The shared :class:`ProcessorConfig` of a multiprogrammed run."""
-    return _FABRIC_CONFIGS[spec.topology](spec.clusters)
+    return TOPOLOGIES[spec.topology](spec.clusters)
 
 
 @dataclass

@@ -5,14 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+from ..config import FABRICS
 from ..errors import ConfigError
 from ..resilience import FaultSchedule
 from ..stats import SimStats
 from ..workloads.profiles import BENCHMARK_NAMES
-
-#: fabrics the co-scheduler supports (memory organization is orthogonal
-#: and stays centralized — the shared home cluster hosts the cache)
-FABRICS: Tuple[str, ...] = ("ring", "grid", "torus", "ring-of-rings")
 
 #: the co-scheduler models at most this many hardware threads
 MAX_THREADS = 4
@@ -73,6 +70,8 @@ class MultiProgSpec:
                     f"unknown workload {workload!r}; choose from "
                     f"{BENCHMARK_NAMES}"
                 )
+        # memory organization is orthogonal and stays centralized (the
+        # shared home cluster hosts the cache), so only the fabrics apply
         if self.topology not in FABRICS:
             raise ConfigError(
                 f"unknown multiprog topology {self.topology!r}; choose "

@@ -3,7 +3,8 @@
 Two layers:
 
 * :class:`SimStats` — cumulative counters for one simulation run
-  (instructions, cycles, communication, cache, predictor, reconfiguration).
+  (instructions, cycles, communication, cache, predictor, reconfiguration),
+  and :class:`RunResult`, the run's steady-state outcome built on them.
 * :class:`IntervalWindow` — the per-interval deltas the run-time controllers
   observe (committed instructions, branches, memory references, IPC,
   distant-ILP count), mirroring the hardware event counters the paper's
@@ -157,6 +158,30 @@ class SimStats:
             "reconfigurations": self.reconfigurations,
             "cache_flushes": self.cache_flushes,
         }
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """Steady-state outcome of one simulation (measurement excludes warmup).
+
+    The one result type of the package: :func:`repro.api.simulate` returns
+    it as ``SimResult`` and the sweep engine records it as ``RunResult``.
+    """
+
+    name: str
+    label: str
+    ipc: float
+    committed: int
+    cycles: int
+    mispredict_interval: float
+    avg_active_clusters: float
+    reconfigurations: int
+    stats: SimStats
+
+    def speedup_over(self, other: "RunResult") -> float:
+        if other.ipc == 0:
+            return float("inf")
+        return self.ipc / other.ipc
 
 
 @dataclass

@@ -559,7 +559,7 @@ class TestResultCache:
         runner = SweepRunner(SweepConfig(jobs=1, cache_dir=tmp_path))
         runner.run([spec_for()])
         first = cache.get(spec_for())
-        first.result.ipc = -123.0  # one consumer misbehaves
+        object.__setattr__(first.result, "ipc", -123.0)  # one consumer misbehaves
         object.__setattr__(first.spec, "profile", "clobbered")
         second = cache.get(spec_for())
         assert second.result.ipc != -123.0

@@ -1,8 +1,14 @@
 """Command-line interface."""
 
+import argparse
+import pathlib
+
 import pytest
 
 from repro.cli import _parse_benchmarks, _run_policy, build_parser, main
+from repro.experiments import EXHIBITS
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 class TestParser:
@@ -158,6 +164,43 @@ class TestCommands:
         trace = json.loads((tmp_path / "prof" /
                             "sweep_trace.json").read_text())
         assert any(e.get("ph") == "X" for e in trace["traceEvents"])
+
+
+class TestExhibits:
+    def test_registry_commands_and_results_files_agree(self):
+        """One name per exhibit: ``python -m repro <name>`` prints
+        ``results/<name>.txt``."""
+        [commands] = [
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        stems = {path.stem for path in RESULTS.glob("*.txt")}
+        assert len(EXHIBITS) == 13
+        assert set(commands) - {"list", "run"} == set(EXHIBITS) == stems
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fig_multiprog", "--benchmarks", "gzip"],
+         "fig_multiprog co-schedules 2-4 benchmarks, got 1: gzip"),
+        (["fig_multiprog", "--benchmarks", "gzip,swim,vpr,mgrid,djpeg"],
+         "fig_multiprog co-schedules 2-4 benchmarks, got 5: "
+         "gzip,swim,vpr,mgrid,djpeg"),
+        (["fig_resilience", "--benchmarks", "gzip,swim"],
+         "fig_resilience takes exactly one carrier benchmark, got 2: gzip,swim"),
+        (["table3", "--timeout", "-1"], "timeout must be positive, got -1.0"),
+    ])
+    def test_bad_argument_fails_before_any_run(
+        self, argv, message, capsys, monkeypatch
+    ):
+        from repro.experiments.sweep import SweepRunner
+
+        def no_runs(self, specs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(SweepRunner, "run", no_runs)
+        assert main(argv + ["--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestHelpText:

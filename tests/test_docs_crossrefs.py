@@ -12,7 +12,10 @@ import re
 import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-DOC_FILES = sorted([REPO / "README.md", *(REPO / "docs").glob("*.md")])
+DOC_FILES = sorted(
+    [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+     *(REPO / "docs").glob("*.md")]
+)
 EXAMPLE_FILES = sorted((REPO / "examples").glob("*.py"))
 
 #: retired spellings: (name, regex, what replaced it).  These were removed
@@ -95,6 +98,11 @@ RETIRED = [
         ),
         'backend="serial" or "process-pool"; quarantine after 3 solo '
         "crashes; a long spec with a short timeout for the timeout path",
+    ),
+    (
+        "pytest-benchmark exhibit harness",
+        re.compile(r"\bbenchmarks/bench_|--benchmark-only\b|\bREPRO_BENCH_CACHE\b"),
+        "python -m repro <exhibit> > results/<exhibit>.txt",
     ),
 ]
 
@@ -196,6 +204,9 @@ def test_lint_catches_retired_spellings():
         "timeline recorder": "from repro.experiments.timeline import TimelineRecorder",
         "pluggable backend layer": (
             'SweepConfig(backend=create_backend("serial"), retry_backoff=0.5)'
+        ),
+        "pytest-benchmark exhibit harness": (
+            "pytest benchmarks/bench_fig3_static.py --benchmark-only -s"
         ),
     }
     for name, pattern, _ in RETIRED:
