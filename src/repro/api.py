@@ -34,9 +34,10 @@ Both speak one keyword vocabulary (:class:`SimSpec`):
     :class:`~repro.experiments.sweep.ControllerSpec`.
 ``faults``
     An optional :class:`~repro.resilience.FaultSchedule` of cycle-keyed
-    architectural faults (cluster kills, link severs/degrades, FU
-    disables); the run degrades gracefully and the statistics grow
-    fault/recovery counters (see ``docs/RESILIENCE.md``).
+    permanent architectural faults (cluster kills, link degrades, FU
+    disables) for a single-thread run; the run degrades gracefully and
+    the statistics grow fault/recovery counters (see
+    ``docs/RESILIENCE.md``).
 
 Example::
 

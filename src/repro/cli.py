@@ -19,13 +19,15 @@ import sys
 from typing import List, Optional, Sequence
 
 from .api import simulate
+from .config import TOPOLOGIES
 from .errors import ConfigError, SweepError, SweepInterrupted
 from .experiments import EXHIBITS
 from .experiments.reporting import format_failure_table, format_sweep_metrics
 from .experiments.sweep import SweepConfig, SweepRunner, default_cache_dir
 from .workloads.profiles import BENCHMARK_NAMES, PAPER_TABLE3, get_profile
 
-_MACHINES = ("ring", "grid", "decentralized", "monolithic")
+#: ``run --machine`` choices: the facade's topologies
+_MACHINES = (*TOPOLOGIES, "monolithic")
 
 
 def _parse_benchmarks(spec: Optional[str]) -> Sequence[str]:
@@ -34,7 +36,7 @@ def _parse_benchmarks(spec: Optional[str]) -> Sequence[str]:
     names = tuple(s.strip() for s in spec.split(",") if s.strip())
     for n in names:
         if n not in BENCHMARK_NAMES:
-            raise SystemExit(f"unknown benchmark {n!r}; choose from {BENCHMARK_NAMES}")
+            raise ConfigError(f"unknown benchmark {n!r}; choose from {BENCHMARK_NAMES}")
     return names
 
 
@@ -182,9 +184,9 @@ def _journal_path(name: str, args: argparse.Namespace):
 
 def _cmd_exhibit(name: str, args: argparse.Namespace) -> int:
     generate, render = EXHIBITS[name]
-    # only what the user gave: each generator owns its defaults
-    benchmarks = _parse_benchmarks(args.benchmarks) if args.benchmarks else None
     try:
+        # only what the user gave: each generator owns its defaults
+        benchmarks = _parse_benchmarks(args.benchmarks) if args.benchmarks else None
         runner = SweepRunner(
             SweepConfig(
                 backend=args.backend,
@@ -200,8 +202,8 @@ def _cmd_exhibit(name: str, args: argparse.Namespace) -> int:
             benchmarks=benchmarks, trace_length=args.length, runner=runner
         )
     except ConfigError as error:
-        # a bad argument, such as --timeout -1 or a 5-thread fig_multiprog
-        # mix, fails before any run starts
+        # a bad argument, such as --timeout -1, an unknown benchmark or a
+        # 5-thread fig_multiprog mix, fails before any run starts
         print(error, file=sys.stderr)
         return 2
     except SweepInterrupted as interrupt:

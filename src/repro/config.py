@@ -159,9 +159,6 @@ class MemoryConfig:
     l2_latency: int = 25
     memory_latency: int = 160
     lsq_size_per_cluster: int = 15
-    #: if True, a load waits for *all* earlier store addresses (ablation);
-    #: default is address-precise (SimpleScalar-style) disambiguation
-    conservative_disambiguation: bool = False
     # Two-level bank predictor (decentralized cache only), after Yoaz et al.
     bank_predictor_l1_size: int = 1024
     bank_predictor_l2_size: int = 4096

@@ -56,15 +56,5 @@ class SweepInterrupted(ReproError):
         self.completed = list(completed)
 
 
-class UnreachableCluster(SimulationError):
-    """No surviving route connects two clusters after link faults severed
-    part of the interconnect.
-
-    Raised at transfer time rather than silently inventing a latency: a
-    partitioned fabric is an unsurvivable fault for this machine model
-    (every cluster must reach the home cluster's front end and L2).
-    """
-
-
 class FaultInjected(ReproError):
     """An artificial failure raised by the fault-injection harness."""

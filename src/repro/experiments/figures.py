@@ -501,7 +501,7 @@ def fig_multiprog(
     fabrics = tuple(fabrics)
     arbiters = arbiter_names()
     runner = runner or serial_runner()
-    length = trace_length if trace_length is not None else DEFAULT_TRACE_LENGTH
+    length = trace_length if trace_length is not None else scaled_length(DEFAULT_TRACE_LENGTH)
 
     # one batch: the arbiter matrix plus the per-fabric solo baselines
     specs: List[RunSpec] = []
@@ -562,8 +562,8 @@ def fig_multiprog(
 # fig_resilience: graceful degradation under architectural faults
 
 
-#: topologies the resilience exhibit degrades (all reroute around faults;
-#: ring-of-rings is covered by the conformance suite instead)
+#: topologies the resilience exhibit degrades (ring-of-rings is covered
+#: by the conformance suite instead)
 RESILIENCE_TOPOLOGIES = ("ring", "grid", "torus", "decentralized")
 
 #: controller families compared under fault injection

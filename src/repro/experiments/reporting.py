@@ -104,6 +104,8 @@ def format_sweep_metrics(metrics) -> str:
                      f"{metrics.pool_respawns} / {metrics.poisoned}"])
     if metrics.journal_errors:
         rows.append(["journal write errors", metrics.journal_errors])
+    if metrics.cache_errors:
+        rows.append(["cache write errors", metrics.cache_errors])
     return format_table(["metric", "value"], rows, "Sweep metrics")
 
 

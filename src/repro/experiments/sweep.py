@@ -668,6 +668,8 @@ class SweepMetrics:
     poisoned: int = 0
     #: journal append failures tolerated (read-only journal dir etc.)
     journal_errors: int = 0
+    #: result-cache write failures tolerated (read-only cache dir etc.)
+    cache_errors: int = 0
     wall_seconds: float = 0.0
     busy_seconds: float = 0.0
     latencies: List[float] = field(default_factory=list)
@@ -722,6 +724,7 @@ class SweepMetrics:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": round(self.hit_rate, 4),
+            "cache_errors": self.cache_errors,
             "wall_seconds": round(self.wall_seconds, 4),
             "busy_seconds": round(self.busy_seconds, 4),
             "worker_utilization": round(self.worker_utilization, 4),
@@ -977,7 +980,8 @@ class SweepRunner:
             try:
                 self.cache.put(record)
             except Exception:
-                pass  # a read-only cache dir must not kill the sweep
+                # a read-only cache dir degrades reruns, not the sweep
+                self.metrics.cache_errors += 1
         self._journal_append(record)
         self._note_done(record, queue_seconds=queue_seconds)
 

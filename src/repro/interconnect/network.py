@@ -14,14 +14,13 @@ communication by 11%").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..config import InterconnectConfig
 from ..errors import ConfigError
 from ..faults import scrambled_topology
 from ..stats import SimStats
 from ..timing import SlotReserver
-from .degraded import DegradedTopology
 from .grid import GridTopology
 from .hierring import HierRingTopology
 from .ring import RingTopology
@@ -70,13 +69,9 @@ class Network:
         self._free_register = config.free_register_communication
         self._contended = config.model_contention
         self._hop_latency = config.hop_latency
-        #: link-fault state (see :mod:`repro.resilience`): the healthy
-        #: topology is kept; ``topology`` swaps to a rerouted
-        #: :class:`DegradedTopology` view only while severs exist
-        self._base_topology = self.topology
-        self._dead_links: Set[int] = set()
-        #: directed link id -> degraded traversal latency (replaces
-        #: ``hop_latency`` on that link)
+        #: link-fault state (see :mod:`repro.resilience`): directed link
+        #: id -> degraded traversal latency (replaces ``hop_latency`` on
+        #: that link); routes never change
         self._degraded_links: Dict[int, int] = {}
         #: per-link latency table, or None while all links are healthy
         #: (the hot paths branch on this one reference)
@@ -89,13 +84,13 @@ class Network:
 
     @property
     def is_degraded(self) -> bool:
-        return bool(self._dead_links or self._degraded_links)
+        return bool(self._degraded_links)
 
     def _wire_links(self, src: int, dst: int) -> List[int]:
         """Both directed link ids of the physical wire between two nodes."""
         found = [
             link
-            for link, ends in self._base_topology.link_endpoints().items()
+            for link, ends in self.topology.link_endpoints().items()
             if ends == (src, dst) or ends == (dst, src)
         ]
         return sorted(found)
@@ -107,17 +102,6 @@ class Network:
                 f"no {self.config.topology} link joins clusters {src} and "
                 f"{dst}; link faults must name physical neighbours"
             )
-
-    def sever_link(self, src: int, dst: int) -> bool:
-        """Remove the wire from routing; False if already severed."""
-        links = self._wire_links(src, dst)
-        if not links:
-            raise ConfigError(f"no link joins clusters {src} and {dst}")
-        if set(links) <= self._dead_links:
-            return False
-        self._dead_links.update(links)
-        self._rebuild()
-        return True
 
     def degrade_link(self, src: int, dst: int, factor: int) -> bool:
         """Multiply the wire's traversal latency; False if unchanged."""
@@ -134,37 +118,12 @@ class Network:
             self._rebuild()
         return changed
 
-    def restore_link(self, src: int, dst: int) -> bool:
-        """Undo sever/degrade on the wire; False if it was healthy."""
-        links = self._wire_links(src, dst)
-        if not links:
-            raise ConfigError(f"no link joins clusters {src} and {dst}")
-        changed = False
-        for link in links:
-            if link in self._dead_links:
-                self._dead_links.discard(link)
-                changed = True
-            if self._degraded_links.pop(link, None) is not None:
-                changed = True
-        if changed:
-            self._rebuild()
-        return changed
-
     def _rebuild(self) -> None:
-        """Re-derive the routing view and latency table from fault state."""
-        if self._dead_links:
-            self.topology = DegradedTopology(
-                self._base_topology, self._dead_links
-            )
-        else:
-            self.topology = self._base_topology
-        if self._degraded_links:
-            table = [self.config.hop_latency] * self._base_topology.num_links
-            for link, latency in self._degraded_links.items():
-                table[link] = latency
-            self._link_latency = table
-        else:
-            self._link_latency = None
+        """Re-derive the per-link latency table from the degraded links."""
+        table = [self.config.hop_latency] * self.topology.num_links
+        for link, latency in self._degraded_links.items():
+            table[link] = latency
+        self._link_latency = table
 
     # -- latency -------------------------------------------------------
 
@@ -233,10 +192,8 @@ class Network:
         if kind == "memory" and self._free_memory:
             return {k: start_cycle for k in range(n)}
         arrivals = {src: start_cycle}
-        # the circulating fast path assumes the intact ring with uniform
-        # link latency; any link fault falls back to per-destination
-        # transfers (a sever also swaps in DegradedTopology, failing the
-        # isinstance check)
+        # the circulating fast path assumes uniform ring link latency; a
+        # degraded link falls back to per-destination transfers
         if (
             isinstance(self.topology, RingTopology)
             and self._link_latency is None

@@ -142,8 +142,7 @@ class CentralizedMemory(MemorySystem):
         self.l1 = SetAssocCache(l1, name="L1")
         self.banks = BankScheduler(l1.banks, l1.ports_per_bank)
         self.lsq = CentralizedLSQ(
-            config.memory.lsq_size_per_cluster * config.num_clusters,
-            conservative=config.memory.conservative_disambiguation,
+            config.memory.lsq_size_per_cluster * config.num_clusters
         )
 
     def can_dispatch(self, instr: Instr) -> bool:

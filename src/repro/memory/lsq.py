@@ -44,20 +44,15 @@ class MemAccess:
 class CentralizedLSQ:
     """The single LSQ co-located with the home cluster (capacity 15N).
 
-    Two disambiguation policies:
-
-    * ``conservative=False`` (default, SimpleScalar-like): a load waits only
-      for earlier in-flight stores to the *same word*; once those have
-      computed their addresses the load probes (or forwards).
-    * ``conservative=True``: a load waits until *every* earlier store in the
-      queue has a known address.
+    Address-precise disambiguation (SimpleScalar-like): a load waits only
+    for earlier in-flight stores to the *same word*; once those have
+    computed their addresses the load probes (or forwards).
     """
 
-    def __init__(self, capacity: int, conservative: bool = False) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.conservative = conservative
         self._entries: Dict[int, MemAccess] = {}
         #: store entries only, so load scheduling never scans the loads
         self._stores: Dict[int, MemAccess] = {}
@@ -92,8 +87,6 @@ class CentralizedLSQ:
     def _blocked(self, load: MemAccess) -> bool:
         if not self._unresolved_stores:
             return False
-        if self.conservative:
-            return min(self._unresolved_stores) < load.index
         word = load.word
         entries = self._entries
         # Order-independent any-match over int indices: the result cannot
@@ -121,27 +114,21 @@ class CentralizedLSQ:
         return ready
 
     def probe_constraints(self, load: MemAccess) -> Tuple[int, bool]:
-        """For a schedulable load: (latest relevant earlier-store address
+        """For a schedulable load: (latest earlier same-word store address
         arrival, whether an earlier in-flight store to the same word can
-        forward).  Under the conservative policy every earlier store is
-        relevant; otherwise only same-word stores are."""
+        forward)."""
         latest = 0
         forward = False
         load_index = load.index
         load_word = load.word
-        conservative = self.conservative
         for index, entry in self._stores.items():
-            if index >= load_index:
+            if index >= load_index or entry.word != load_word:
                 continue
-            same_word = entry.word == load_word
             if entry.addr_arrival is None:
-                if conservative or same_word:
-                    raise SimulationError("probe_constraints on a blocked load")
-                continue
-            if (conservative or same_word) and entry.addr_arrival > latest:
+                raise SimulationError("probe_constraints on a blocked load")
+            if entry.addr_arrival > latest:
                 latest = entry.addr_arrival
-            if same_word:
-                forward = True
+            forward = True
         return latest, forward
 
     def release(self, index: int) -> MemAccess:

@@ -1,6 +1,6 @@
 """The cluster-ownership ledger: who may dispatch where, and since when.
 
-Every physical cluster is in exactly one of four states at any cycle:
+Every physical cluster is in exactly one of three states at any cycle:
 
 ``OWNED``
     One thread holds exclusive dispatch rights.
@@ -10,11 +10,6 @@ Every physical cluster is in exactly one of four states at any cycle:
     multiprog analogue of the paper's reconfiguration drain).
 ``FREE``
     Grantable to any thread.
-``FAILED``
-    Taken out by an architectural fault (:mod:`repro.resilience`); not
-    grantable until a matching restore event brings it back.  Failing an
-    owned cluster strips the owner — :meth:`fail_cluster` returns the
-    evicted thread so the scheduler can compensate it.
 
 The ledger *enforces* the conservation invariants the conformance suite
 checks: granting a non-free cluster or reclaiming someone else's cluster
@@ -32,7 +27,6 @@ from ..errors import SimulationError
 OWNED = "owned"
 DRAINING = "draining"
 FREE = "free"
-FAILED = "failed"
 
 
 class ClusterLedger:
@@ -44,7 +38,6 @@ class ClusterLedger:
         self.num_clusters = num_clusters
         self._owner: List[Optional[int]] = [None] * num_clusters
         self._drain_until: List[int] = [0] * num_clusters
-        self._failed: List[bool] = [False] * num_clusters
 
     def _check_cluster(self, cluster: int) -> None:
         if not 0 <= cluster < self.num_clusters:
@@ -59,8 +52,6 @@ class ClusterLedger:
 
     def state(self, cluster: int, cycle: int) -> str:
         self._check_cluster(cluster)
-        if self._failed[cluster]:
-            return FAILED
         if self._owner[cluster] is not None:
             return OWNED
         if cycle < self._drain_until[cluster]:
@@ -70,12 +61,6 @@ class ClusterLedger:
     def grant(self, cluster: int, thread: int, cycle: int) -> None:
         """Give ``thread`` exclusive dispatch rights to ``cluster``."""
         self._check_cluster(cluster)
-        if self._failed[cluster]:
-            raise SimulationError(
-                f"grant of failed cluster {cluster} to thread {thread} at "
-                f"cycle {cycle}: the cluster is architecturally dead until "
-                "a restore event"
-            )
         holder = self._owner[cluster]
         if holder is not None:
             raise SimulationError(
@@ -105,37 +90,6 @@ class ClusterLedger:
         self._owner[cluster] = None
         self._drain_until[cluster] = cycle + drain_cycles
 
-    # -- architectural faults ------------------------------------------
-    def fail_cluster(self, cluster: int, cycle: int) -> Optional[int]:
-        """Mark ``cluster`` architecturally failed; returns the evicted
-        owner (None if it was free or draining).  Idempotent: failing a
-        failed cluster returns None and changes nothing."""
-        self._check_cluster(cluster)
-        if self._failed[cluster]:
-            return None
-        evicted = self._owner[cluster]
-        self._owner[cluster] = None
-        self._drain_until[cluster] = 0
-        self._failed[cluster] = True
-        return evicted
-
-    def restore_cluster(self, cluster: int, cycle: int) -> bool:
-        """Bring a failed cluster back (it re-enters as FREE, grantable at
-        the next epoch boundary).  Returns False if it was not failed."""
-        self._check_cluster(cluster)
-        if not self._failed[cluster]:
-            return False
-        self._failed[cluster] = False
-        self._drain_until[cluster] = 0
-        return True
-
-    def failed_clusters(self) -> Tuple[int, ...]:
-        return tuple(
-            cluster
-            for cluster in range(self.num_clusters)
-            if self._failed[cluster]
-        )
-
     def owned_by(self, thread: int) -> Tuple[int, ...]:
         """The clusters ``thread`` owns, in ascending id order."""
         return tuple(
@@ -148,8 +102,7 @@ class ClusterLedger:
         return tuple(
             cluster
             for cluster in range(self.num_clusters)
-            if not self._failed[cluster]
-            and self._owner[cluster] is None
+            if self._owner[cluster] is None
             and cycle >= self._drain_until[cluster]
         )
 
@@ -157,15 +110,14 @@ class ClusterLedger:
         return tuple(
             cluster
             for cluster in range(self.num_clusters)
-            if not self._failed[cluster]
-            and self._owner[cluster] is None
+            if self._owner[cluster] is None
             and cycle < self._drain_until[cluster]
         )
 
     def check_conservation(self, cycle: int) -> None:
         """Every cluster in exactly one state; raises on violation.
 
-        The four state tuples are computed independently from the same
+        The three state counts are computed independently from the same
         arrays, so this holds by construction — the check exists so the
         conformance suite (and the scheduler's own sampling) can assert
         it *after arbitrary arbiter action sequences*.
@@ -173,10 +125,9 @@ class ClusterLedger:
         owned = sum(1 for holder in self._owner if holder is not None)
         free = len(self.free_clusters(cycle))
         draining = len(self.draining_clusters(cycle))
-        failed = len(self.failed_clusters())
-        if owned + free + draining + failed != self.num_clusters:
+        if owned + free + draining != self.num_clusters:
             raise SimulationError(
                 f"cluster conservation violated at cycle {cycle}: "
-                f"{owned} owned + {free} free + {draining} draining + "
-                f"{failed} failed != {self.num_clusters}"
+                f"{owned} owned + {free} free + {draining} draining != "
+                f"{self.num_clusters}"
             )

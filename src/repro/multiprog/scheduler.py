@@ -9,12 +9,11 @@ thread dispatches only into clusters the
 so the arbiters compete on placement — how far a thread's clusters are
 from the home cluster and from each other on the real fabric.
 
-Ownership changes only at epoch boundaries and fault cycles, and threads
-share no other state, so between two such boundaries every thread runs
-independently: the scheduler advances each running thread through the
-fused cycle loop to the next boundary (or to its finish) in one
-cycle-bounded call, then accounts the segment's owned-cluster and
-degraded cycles in closed form.  A cycle-bounded advance is
+Ownership changes only at epoch boundaries, and threads share no other
+state, so between two boundaries every thread runs independently: the
+scheduler advances each running thread through the fused cycle loop to
+the next boundary (or to its finish) in one cycle-bounded call, then
+accounts the segment's owned-cluster cycles in closed form.  A cycle-bounded advance is
 bit-identical to stepping the same cycles one by one, so the result is
 the same as a per-cycle lockstep loop.
 
@@ -30,13 +29,6 @@ Modelling notes (see ``docs/MULTIPROG.md``):
 * Reclaimed clusters leave the owner's dispatch mask immediately and
   drain for ``spec.drain_cycles`` before becoming grantable, mirroring
   the paper's drain-before-deactivate reconfiguration cost.
-* Architectural faults (``spec.faults``) apply at the *global* clock:
-  a ``cluster_kill`` fails the cluster in the shared ledger (stripping
-  any owner's dispatch mask immediately), and if the eviction leaves an
-  unfinished thread with zero clusters the scheduler emergency-grants it
-  the lowest free cluster before the next cycle — no thread ever starves
-  silently.  A ``cluster_restore`` returns the cluster to the free pool;
-  the arbiter re-distributes it at the next epoch boundary.
 """
 
 from __future__ import annotations
@@ -161,117 +153,6 @@ def _arbitrate(
         thread.steering.set_owned(ledger.owned_by(thread.index))
 
 
-def _apply_fault(
-    spec: MultiProgSpec,
-    event,
-    ledger: ClusterLedger,
-    threads: List[_Thread],
-    cycle: int,
-    tracer: Tracer,
-) -> None:
-    """Apply one due fault event to the shared ledger (global clock)."""
-    committed = sum(t.processor.stats.committed for t in threads)
-    if event.kind == "cluster_kill":
-        evicted = ledger.fail_cluster(event.cluster, cycle)
-        # attribute run-level fault counters to the evicted thread (its
-        # machine shrank), falling back to thread 0 for unowned clusters
-        stats = threads[evicted if evicted is not None else 0].processor.stats
-        stats.faults_injected += 1
-        stats.cluster_kills += 1
-        live = spec.clusters - len(ledger.failed_clusters())
-        if tracer.enabled:
-            tracer.emit(
-                "fault_inject",
-                cycle=cycle,
-                committed=committed,
-                fault=event.kind,
-                target=event.target_label(),
-            )
-            tracer.emit(
-                "remap_start",
-                cycle=cycle,
-                committed=committed,
-                target=event.target_label(),
-                live=live,
-            )
-        if evicted is not None:
-            thread = threads[evicted]
-            thread.steering.set_owned(ledger.owned_by(evicted))
-            if thread.running and not ledger.owned_by(evicted):
-                free = ledger.free_clusters(cycle)
-                if not free:
-                    # no free cluster: shed one from the richest other
-                    # running thread (ties: lowest index; victim: its
-                    # highest-id cluster) with a zero-cycle drain — the
-                    # starving thread cannot wait out a drain window
-                    donors = [
-                        t
-                        for t in threads
-                        if t.running
-                        and t.index != evicted
-                        and len(ledger.owned_by(t.index)) > 1
-                    ]
-                    if not donors:
-                        raise SimulationError(
-                            f"cluster_kill of {event.cluster} at cycle "
-                            f"{cycle} leaves thread {evicted} with no "
-                            "clusters and no donor thread — more threads "
-                            "than surviving clusters"
-                        )
-                    donor = max(
-                        donors,
-                        key=lambda t: (
-                            len(ledger.owned_by(t.index)),
-                            -t.index,
-                        ),
-                    )
-                    victim = ledger.owned_by(donor.index)[-1]
-                    ledger.reclaim(victim, donor.index, cycle, 0)
-                    donor.steering.set_owned(ledger.owned_by(donor.index))
-                    donor.processor.stats.arb_reclaims += 1
-                    free = ledger.free_clusters(cycle)
-                ledger.grant(free[0], evicted, cycle)
-                thread.steering.set_owned(ledger.owned_by(evicted))
-                thread.processor.stats.arb_grants += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        "arb_grant",
-                        cycle=cycle,
-                        committed=committed,
-                        thread=evicted,
-                        cluster=free[0],
-                        arbiter="fault-recovery",
-                        owned=len(ledger.owned_by(evicted)),
-                    )
-        if tracer.enabled:
-            # ownership remap is combinational: the mask update and any
-            # emergency grant land in the same global cycle
-            tracer.emit(
-                "remap_done",
-                cycle=cycle,
-                committed=committed,
-                target=event.target_label(),
-                latency=0,
-            )
-    elif event.kind == "cluster_restore":
-        if ledger.restore_cluster(event.cluster, cycle):
-            stats = threads[0].processor.stats
-            stats.faults_injected += 1
-            if tracer.enabled:
-                tracer.emit(
-                    "fault_inject",
-                    cycle=cycle,
-                    committed=committed,
-                    fault=event.kind,
-                    target=event.target_label(),
-                )
-    else:  # pragma: no cover - rejected by MultiProgSpec.__post_init__
-        raise SimulationError(
-            f"multiprog cannot apply fault kind {event.kind!r}"
-        )
-    ledger.check_conservation(cycle)
-
-
 def run_multiprog(
     spec: MultiProgSpec,
     tracer: Optional[Tracer] = None,
@@ -374,27 +255,14 @@ def _co_schedule(
             clusters=spec.clusters,
         )
 
-    fault_events = list(spec.faults.events) if spec.faults else []
-    fault_pos = 0
-
     cycle = 0
     cycle_limit = _MAX_CPI * max(1, total_instructions)
     epoch = spec.epoch_cycles
     running = list(threads)
     while running:
-        while (
-            fault_pos < len(fault_events)
-            and fault_events[fault_pos].cycle <= cycle
-        ):
-            _apply_fault(
-                spec, fault_events[fault_pos], ledger, threads, cycle, tracer
-            )
-            fault_pos += 1
-        # one segment: up to the next epoch boundary, fault cycle, or the
-        # wedge limit, whichever comes first; ownership is constant inside
+        # one segment: up to the next epoch boundary or the wedge limit,
+        # whichever comes first; ownership is constant inside
         end = (cycle // epoch + 1) * epoch
-        if fault_pos < len(fault_events) and fault_events[fault_pos].cycle < end:
-            end = fault_events[fault_pos].cycle
         if cycle_limit + 1 < end:
             end = cycle_limit + 1
         reached = cycle
@@ -412,8 +280,6 @@ def _co_schedule(
                 thread.finished_cycle = processor.cycle
             else:
                 still_running.append(thread)
-        if fault_events and ledger.failed_clusters():
-            threads[0].processor.stats.degraded_cycles += reached - cycle
         cycle = reached
         running = still_running
         if running and cycle % epoch == 0:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..config import FABRICS
 from ..errors import ConfigError
-from ..resilience import FaultSchedule
 from ..stats import SimStats
 from ..workloads.profiles import BENCHMARK_NAMES
 
@@ -44,13 +43,6 @@ class MultiProgSpec:
     epoch_cycles: int = 2_000
     #: cycles a reclaimed cluster drains before it is grantable again
     drain_cycles: int = 30
-    #: architectural fault schedule applied at the *global* clock; only
-    #: cluster kinds make sense here — ownership is the coupling between
-    #: threads, so a fault fails a cluster in the shared ledger rather
-    #: than inside any one thread's private pipeline.  No home-cluster
-    #: protection: losing dispatch rights to cluster 0 is exactly an
-    #: arbiter reclaim, not machine death.
-    faults: Optional[FaultSchedule] = None
     #: reporting name only — excluded from the repr (and therefore from
     #: RunSpec.cache_key, which interpolates ``multiprog={...!r}``), for
     #: the same reason RunSpec.label is exempt: relabeling an exhibit
@@ -96,19 +88,6 @@ class MultiProgSpec:
             raise ConfigError("epoch_cycles must be positive")
         if self.drain_cycles < 0:
             raise ConfigError("drain_cycles cannot be negative")
-        if self.faults is not None:
-            for event in self.faults.events:
-                if event.kind not in ("cluster_kill", "cluster_restore"):
-                    raise ConfigError(
-                        f"multiprog fault schedules support cluster_kill/"
-                        f"cluster_restore only, got {event.kind!r} (link and "
-                        "FU faults live inside a single thread's fabric)"
-                    )
-                if event.cluster >= self.clusters:
-                    raise ConfigError(
-                        f"{event.kind} targets cluster {event.cluster}, but "
-                        f"the fabric has {self.clusters} clusters"
-                    )
 
     @property
     def name(self) -> str:

@@ -148,10 +148,10 @@ class FusedCore:
     def _refresh_latency_tables(self, p: "ClusteredProcessor") -> None:
         """Memoize the front-end network latencies per destination.
 
-        ``uncontended_latency`` depends only on the topology view and the
-        per-link latency table, both of which change exclusively under
-        the fault manager — so the tables are rebuilt after every fault
-        poll and are exact in between.
+        ``uncontended_latency`` depends only on the topology and the
+        per-link latency table, and only the fault manager changes the
+        table — so the tables are rebuilt after every fault poll and are
+        exact in between.
         """
         network = p.network
         home = p._home

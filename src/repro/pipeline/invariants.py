@@ -35,11 +35,8 @@ cycle/instruction context when one fails:
   window, so an *intentionally* disabled cluster never false-positives
   while a drifted fault remap still fails.
 
-Architectural link faults re-arm the route-table walk (the
-:class:`~repro.resilience.manager.FaultManager` clears the one-shot flag
-after every reroute); pairs partitioned by severed links are skipped —
-unreachability is a legitimate degraded state, reported at transfer time
-as :class:`~repro.errors.UnreachableCluster`.
+Architectural link faults change a link's latency, never a route, so
+the one route walk per run covers faulted runs too.
 
 Checking is pure observation: it reads state, never mutates it, so a run
 with checking on is bit-identical to the same run with checking off.
@@ -54,7 +51,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ..config import env_flag
-from ..errors import SimulationError, UnreachableCluster
+from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import ProcessorConfig
@@ -174,12 +171,7 @@ class InvariantChecker:
             for dst in range(topology.num_nodes):
                 if src == dst:
                     continue
-                try:
-                    route = list(topology.route(src, dst))
-                except UnreachableCluster:
-                    # severed links partitioned this pair; the error is
-                    # raised (correctly) at transfer time instead
-                    continue
+                route = list(topology.route(src, dst))
                 at = src
                 for link in route:
                     if link not in endpoints:

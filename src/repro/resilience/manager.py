@@ -15,17 +15,14 @@ Fault semantics (the graceful-degradation contract):
   the surviving clusters (which flushes the L1, like any resize), a
   ``remap_start`` event fires, and when the dead cluster has fully
   drained a ``remap_done`` event records the recovery latency.
-* **cluster_restore** — the cluster rejoins the steerable set; banks are
-  remapped back.
-* **link_sever / link_degrade / link_restore** — delegated to the
-  :class:`~repro.interconnect.network.Network`, which recomputes routes
-  around severed links (raising
-  :class:`~repro.errors.UnreachableCluster` rather than inventing
-  latencies when the fabric is partitioned).  The route-table invariant
-  check re-arms after every link event so the recomputed tables are
-  re-validated.
-* **fu_disable / fu_enable** — flips the per-cluster steering mask for
-  one functional-unit pool; queued instructions still issue and drain.
+* **link_degrade** — delegated to the
+  :class:`~repro.interconnect.network.Network`, which charges the wire's
+  new latency on every later hop over it; routes never change.
+* **fu_disable** — flips the per-cluster steering mask for one
+  functional-unit pool; queued instructions still issue and drain.
+
+Every fault is permanent: once degraded, the machine stays degraded to
+the end of the run.
 
 After every applied event the processor's controller is notified through
 its ``on_fault`` hook so interval/exploration state can restart against
@@ -51,19 +48,19 @@ class FaultManager:
         self.schedule = schedule
         self._events: List[FaultEvent] = list(schedule.events)
         self._pos = 0
-        #: clusters killed and not yet restored
+        #: killed clusters
         self.dead: Set[int] = set()
         #: killed clusters still draining in-flight work -> kill cycle
         self._draining: Dict[int, int] = {}
         #: per-cluster disabled functional-unit pools
         self._disabled: Dict[int, Set[str]] = {}
-        #: start of the current degraded interval (None = healthy)
+        #: cycle the machine became degraded (None = healthy)
         self._degraded_since: Optional[int] = None
         # validate link endpoints against the actual topology up front, so
         # a bad schedule fails at construction instead of mid-run
         network = processor.network
         for event in self._events:
-            if event.kind.startswith("link_"):
+            if event.kind == "link_degrade":
                 network.require_link(event.src, event.dst)
 
     @property
@@ -120,16 +117,6 @@ class FaultManager:
                 target=event.target_label(),
                 live=p.config.num_clusters - len(self.dead),
             )
-        elif kind == "cluster_restore":
-            if event.cluster not in self.dead:
-                return  # idempotent: not dead
-            self._count(event, None)
-            self.dead.discard(event.cluster)
-            self._draining.pop(event.cluster, None)
-            cluster = p.clusters[event.cluster]
-            cluster.live = True
-            cluster.refresh_steer_mask(self._disabled.get(event.cluster, ()))
-            p.refresh_live_clusters()
         elif kind == "fu_disable":
             units = self._disabled.setdefault(event.cluster, set())
             if event.unit in units:
@@ -137,37 +124,18 @@ class FaultManager:
             units.add(event.unit)
             self._count(event, "fu_faults")
             p.clusters[event.cluster].refresh_steer_mask(units)
-        elif kind == "fu_enable":
-            units = self._disabled.get(event.cluster)
-            if not units or event.unit not in units:
-                return
-            units.discard(event.unit)
-            self._count(event, None)
-            p.clusters[event.cluster].refresh_steer_mask(units)
-        elif kind == "link_sever":
-            if not p.network.sever_link(event.src, event.dst):
-                return
-            self._count(event, "links_severed")
-            self._recheck_topology()
         elif kind == "link_degrade":
             if not p.network.degrade_link(event.src, event.dst, event.factor):
                 return
             self._count(event, "links_degraded")
-            self._recheck_topology()
-        elif kind == "link_restore":
-            if not p.network.restore_link(event.src, event.dst):
-                return
-            self._count(event, None)
-            self._recheck_topology()
         on_fault = getattr(p.controller, "on_fault", None)
         if on_fault is not None:
             on_fault(event, cycle)
 
-    def _count(self, event: FaultEvent, counter: Optional[str]) -> None:
+    def _count(self, event: FaultEvent, counter: str) -> None:
         stats = self.processor.stats
         stats.faults_injected += 1
-        if counter is not None:
-            setattr(stats, counter, getattr(stats, counter) + 1)
+        setattr(stats, counter, getattr(stats, counter) + 1)
         self._emit("fault_inject", fault=event.kind, target=event.target_label())
 
     def _check_drains(self, cycle: int) -> None:
@@ -183,24 +151,14 @@ class FaultManager:
                 )
 
     def _update_degraded(self, cycle: int) -> None:
-        degraded = (
-            bool(self.dead)
+        """Open the degraded interval at the first applied fault; faults
+        are permanent, so only :meth:`finalize` closes it."""
+        if self._degraded_since is None and (
+            self.dead
             or any(self._disabled.values())
             or self.processor.network.is_degraded
-        )
-        stats = self.processor.stats
-        if degraded:
-            if self._degraded_since is None:
-                self._degraded_since = cycle
-        elif self._degraded_since is not None:
-            stats.degraded_cycles += cycle - self._degraded_since
-            self._degraded_since = None
-
-    def _recheck_topology(self) -> None:
-        """Re-arm the one-shot route-table walk after a reroute."""
-        invariants = self.processor.invariants
-        if invariants is not None:
-            invariants._topology_checked = False
+        ):
+            self._degraded_since = cycle
 
     def _emit(self, kind: str, **fields) -> None:
         p = self.processor

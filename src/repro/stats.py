@@ -71,6 +71,7 @@ class SimStats:
     # operation, and recovery latency; zero for healthy runs
     faults_injected: int = 0
     cluster_kills: int = 0
+    #: always 0 (links degrade but are never severed); the stats digests still hash it
     links_severed: int = 0
     links_degraded: int = 0
     fu_faults: int = 0

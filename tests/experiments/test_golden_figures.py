@@ -365,6 +365,34 @@ class TestMiniMultiprog:
         assert again == {("gzip", "swim"): results}
 
 
+class TestMultiprogTraceScale:
+    def test_default_length_follows_the_trace_scale(self, monkeypatch):
+        """``REPRO_TRACE_SCALE`` scales fig_multiprog's default per-thread
+        length, as it does every other exhibit's."""
+        from repro.experiments.figures import fig_multiprog
+        from repro.experiments.runner import TRACE_SCALE_ENV
+
+        specs = []
+
+        class Recorded(Exception):
+            pass
+
+        def record(self, batch):
+            specs.extend(batch)
+            raise Recorded
+
+        monkeypatch.setenv(TRACE_SCALE_ENV, "0.5")
+        monkeypatch.setattr(SweepRunner, "run", record)
+        with pytest.raises(Recorded):
+            fig_multiprog()
+        # three fabrics x (three arbiter runs + two solo baselines)
+        assert len(specs) == 15
+        for spec in specs:
+            assert spec.trace_length == 10_000, spec.label
+            if spec.multiprog is not None:
+                assert spec.multiprog.trace_length == 10_000, spec.label
+
+
 @pytest.mark.slow
 class TestMiniFigure3:
     @pytest.fixture(scope="class")

@@ -104,7 +104,7 @@ KEY_CHANGES = {
     "steering": ("first-fit",),
     "record_granularity": None,
     "max_instructions": None,
-    "multiprog": dataclasses.replace(MULTIPROG, faults=None),
+    "multiprog": dataclasses.replace(MULTIPROG, drain_cycles=MULTIPROG.drain_cycles + 1),
     "faults": None,
 }
 
@@ -349,7 +349,6 @@ class TestFinishedRunsAreFreed:
                     warmup=300,
                     faults=FaultSchedule((
                         FaultEvent(cycle=300, kind="cluster_kill", cluster=3),
-                        FaultEvent(cycle=900, kind="cluster_restore", cluster=3),
                     )),
                 ),
                 None,
@@ -395,7 +394,6 @@ class TestControllerHooks:
             warmup=0,
             faults=FaultSchedule((
                 FaultEvent(cycle=300, kind="cluster_kill", cluster=3),
-                FaultEvent(cycle=900, kind="cluster_restore", cluster=3),
             )),
         )
         record = execute_spec(spec)
@@ -521,6 +519,20 @@ class TestResultCache:
         base = spec_for()
         [hit] = runner.run([dataclasses.replace(base, label="figureX")])
         assert hit.from_cache and hit.result.label == "figureX"
+
+    def test_failed_write_is_counted_not_swallowed(self, tmp_path):
+        from repro.experiments.reporting import format_sweep_metrics
+
+        # the cache "directory" is a regular file, so every put fails
+        # (chmod tricks don't work here: the test suite may run as root)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        specs = [spec_for("gzip"), spec_for("swim")]
+        result = sweep(specs, backend="serial", cache_dir=blocker)
+        assert all(record.ok for record in result.records)
+        assert result.metrics.cache_errors == len(specs)
+        assert result.metrics.snapshot()["cache_errors"] == len(specs)
+        assert "cache write errors" in format_sweep_metrics(result.metrics)
 
     def test_corrupted_entry_is_evicted_and_recomputed(self, tmp_path):
         runner = SweepRunner(SweepConfig(jobs=1, cache_dir=tmp_path))

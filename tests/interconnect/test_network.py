@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.config import InterconnectConfig
+from repro.errors import ConfigError
 from repro.interconnect.network import Network, build_topology
 from repro.interconnect.grid import GridTopology
 from repro.interconnect.ring import RingTopology
@@ -82,6 +83,38 @@ class TestIdealization:
         net = _net(free_register_communication=True)
         assert net.transfer(0, 8, 10, kind="register") == 10
         assert net.transfer(0, 8, 10, kind="memory") > 10
+
+
+class TestLinkDegrade:
+    """The one link fault (driven by repro.resilience): a slower wire."""
+
+    def make(self):
+        return Network(InterconnectConfig(topology="ring"), 8)
+
+    def test_degrade_multiplies_latency(self):
+        net = self.make()
+        healthy = net.uncontended_latency(0, 1)
+        assert not net.is_degraded
+        assert net.degrade_link(0, 1, factor=4)
+        assert net.is_degraded
+        assert net.uncontended_latency(0, 1) == healthy * 4
+        assert net.uncontended_latency(1, 0) == healthy * 4  # both directions
+        # other links unaffected, and routes never change
+        assert net.uncontended_latency(2, 3) == healthy
+        assert len(net.topology.route(0, 1)) == 1
+        assert not net.degrade_link(0, 1, factor=4)  # same factor: no-op
+
+    def test_require_link_rejects_non_neighbours(self):
+        net = self.make()
+        net.require_link(0, 1)
+        with pytest.raises(ConfigError, match="physical neighbours"):
+            net.require_link(0, 4)
+
+    def test_transfer_pays_degraded_cost(self):
+        fast = self.make()
+        slow = self.make()
+        slow.degrade_link(0, 1, factor=8)
+        assert slow.transfer(0, 1, 0) > fast.transfer(0, 1, 0)
 
 
 class TestStats:

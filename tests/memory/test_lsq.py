@@ -96,32 +96,6 @@ class TestDefaultDisambiguation:
         assert barrier == 0  # unrelated store does not constrain the probe
 
 
-class TestConservativeDisambiguation:
-    """Section 2.1 policy variant: all earlier store addresses must be known."""
-
-    def test_any_unresolved_store_blocks(self):
-        lsq = CentralizedLSQ(8, conservative=True)
-        lsq.allocate(_store(0, 0x100))
-        lsq.allocate(_load(1, 0x999))
-        lsq.load_address_ready(1, arrival=50)
-        assert lsq.schedulable_loads() == []
-        lsq.store_address_ready(0, arrival=70)
-        assert [a.index for a in lsq.schedulable_loads()] == [1]
-
-    def test_barrier_is_latest_store_arrival(self):
-        lsq = CentralizedLSQ(8, conservative=True)
-        lsq.allocate(_store(0, 0x100))
-        lsq.allocate(_store(1, 0x200))
-        lsq.allocate(_load(2, 0x300))
-        lsq.store_address_ready(0, arrival=30)
-        lsq.store_address_ready(1, arrival=90)
-        lsq.load_address_ready(2, arrival=50)
-        (load,) = lsq.schedulable_loads()
-        barrier, forward = lsq.probe_constraints(load)
-        assert barrier == 90
-        assert not forward
-
-
 class TestRelease:
     def test_release_returns_access(self):
         lsq = CentralizedLSQ(4)

@@ -214,7 +214,6 @@ class TestFaultEmissions:
             FaultEvent(cycle=1_000, kind="fu_disable", cluster=2,
                        unit="int_alu"),
             FaultEvent(cycle=1_200, kind="link_degrade", src=1, dst=2),
-            FaultEvent(cycle=2_000, kind="cluster_restore", cluster=5),
         ))
         tracer = MemoryTracer(sample_period=0)
         makers = {"explore": ControllerSpec.explore,

@@ -44,14 +44,12 @@ _CONFIGS = {
 #: neighbors on all three 8-cluster fabrics
 _SCHEDULES = {
     "healthy": None,
-    "kill-restore": FaultSchedule((
+    "kill": FaultSchedule((
         FaultEvent(cycle=300, kind="cluster_kill", cluster=3),
-        FaultEvent(cycle=900, kind="cluster_restore", cluster=3),
     )),
     "links-and-fus": FaultSchedule((
         FaultEvent(cycle=250, kind="link_degrade", src=2, dst=3, factor=3),
         FaultEvent(cycle=500, kind="fu_disable", cluster=2, unit="int_alu"),
-        FaultEvent(cycle=700, kind="link_sever", src=2, dst=3),
     )),
 }
 

@@ -2,8 +2,8 @@
 
 The whole matrix runs with ``REPRO_CHECK_INVARIANTS=1`` (armed for the
 full suite by ``tests/conftest.py``), so a steering decision targeting a
-dead cluster, a rate-invariant violation in a disabled cluster, or a
-stale route table after a reroute fails here, not just a weaker IPC.
+dead cluster or a rate-invariant violation in a disabled cluster fails
+here, not just a weaker IPC.
 """
 
 import dataclasses

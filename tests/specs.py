@@ -13,7 +13,7 @@ from repro.resilience import FaultEvent, FaultSchedule
 
 FAULTS = FaultSchedule(
     (
-        FaultEvent(cycle=400, kind="link_sever", src=1, dst=2),
+        FaultEvent(cycle=400, kind="link_degrade", src=1, dst=2),
         FaultEvent(cycle=900, kind="cluster_kill", cluster=3),
     )
 )
@@ -27,7 +27,6 @@ MULTIPROG = MultiProgSpec(
     clusters=4,
     epoch_cycles=250,
     drain_cycles=20,
-    faults=FaultSchedule((FaultEvent(cycle=600, kind="cluster_kill", cluster=3),)),
     label="mix",
 )
 

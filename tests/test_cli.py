@@ -6,6 +6,8 @@ import pathlib
 import pytest
 
 from repro.cli import _parse_benchmarks, _run_policy, build_parser, main
+from repro.config import TOPOLOGIES
+from repro.errors import ConfigError
 from repro.experiments import EXHIBITS
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -30,6 +32,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "quake"])
 
+    @pytest.mark.parametrize("machine", [*TOPOLOGIES, "monolithic"])
+    def test_every_facade_topology_is_a_machine(self, machine):
+        args = build_parser().parse_args(["run", "gzip", "--machine", machine])
+        assert args.machine == machine
+
 
 class TestHelpers:
     def test_run_policy_mapping(self):
@@ -44,7 +51,7 @@ class TestHelpers:
     def test_parse_benchmarks(self):
         assert len(_parse_benchmarks("")) == 9
         assert _parse_benchmarks("gzip, swim") == ("gzip", "swim")
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigError, match="unknown benchmark 'quake'"):
             _parse_benchmarks("gzip,quake")
 
 
@@ -187,6 +194,7 @@ class TestExhibits:
         (["fig_resilience", "--benchmarks", "gzip,swim"],
          "fig_resilience takes exactly one carrier benchmark, got 2: gzip,swim"),
         (["table3", "--timeout", "-1"], "timeout must be positive, got -1.0"),
+        (["figure3", "--benchmarks", "gzip,gzpi"], "unknown benchmark 'gzpi'"),
     ])
     def test_bad_argument_fails_before_any_run(
         self, argv, message, capsys, monkeypatch

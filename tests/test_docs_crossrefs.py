@@ -104,36 +104,69 @@ RETIRED = [
         re.compile(r"\bbenchmarks/bench_|--benchmark-only\b|\bREPRO_BENCH_CACHE\b"),
         "python -m repro <exhibit> > results/<exhibit>.txt",
     ),
+    (
+        "fault kinds no exhibit used",
+        # not the kept stat ``links_severed``
+        re.compile(
+            r"\bcluster_restore\b|\blink_sever\b|\blink_restore\b|\bfu_enable\b"
+            r"|\bDegradedTopology\b|\bUnreachableCluster\b|\brepair_after\b"
+            r"|\bfail_cluster\b|\bFaultSchedule\.from_json\b"
+        ),
+        "permanent cluster_kill, fu_disable and link_degrade faults on "
+        "single-thread runs",
+    ),
 ]
 
 #: docs/<NAME>.md references must resolve against the real docs tree
 _DOC_REF = re.compile(r"\bdocs/([A-Z_]+\.md)\b")
 
 
-#: an inline code span: `code`, or ``code with a ` inside``
-_INLINE_SPAN = re.compile(r"(`+)(.+?)\1")
+#: an inline code span: `code`, or ``code with a ` inside``; it may wrap
+#: across a line break within its paragraph
+_INLINE_SPAN = re.compile(r"(`+)(.+?)\1", re.DOTALL)
+
+
+def _paragraph_spans(paragraph):
+    """(lineno, text) for each inline span in ``paragraph``, a list of
+    (lineno, line); a wrapped span reads its line breaks as spaces."""
+    if not paragraph:
+        return []
+    first = paragraph[0][0]
+    text = "\n".join(line for _, line in paragraph)
+    return [
+        (first + text.count("\n", 0, span.start()), span.group(2).replace("\n", " "))
+        for span in _INLINE_SPAN.finditer(text)
+    ]
 
 
 def _code_spans(path):
     """Yield (lineno, text) for every fenced block, whatever the tag, and
     every inline backtick span outside the fences — retired spellings are
-    banned even in illustrative ```text fences and in prose."""
+    banned even in illustrative ```text fences and in prose.  Inline spans
+    are matched per paragraph (the text between blank lines or fences), so
+    a span that wraps across a line break is scanned whole."""
     lines = path.read_text(encoding="utf-8").splitlines()
     start = None
     block = []
+    paragraph = []
     for number, line in enumerate(lines, start=1):
         if start is None:
             if line.lstrip().startswith("```"):
+                yield from _paragraph_spans(paragraph)
+                paragraph = []
                 start = number + 1
                 block = []
+            elif line.strip():
+                paragraph.append((number, line))
             else:
-                for span in _INLINE_SPAN.finditer(line):
-                    yield number, span.group(2)
+                yield from _paragraph_spans(paragraph)
+                paragraph = []
         elif line.strip() == "```":
             yield start, "\n".join(block)
             start = None
         else:
             block.append(line)
+    yield from _paragraph_spans(paragraph)
 
 
 @pytest.mark.parametrize(
@@ -208,17 +241,28 @@ def test_lint_catches_retired_spellings():
         "pytest-benchmark exhibit harness": (
             "pytest benchmarks/bench_fig3_static.py --benchmark-only -s"
         ),
+        "fault kinds no exhibit used": (
+            'FaultEvent(cycle=900, kind="cluster_restore", cluster=3)'
+        ),
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"
+    [faults] = [p for name, p, _ in RETIRED if name == "fault kinds no exhibit used"]
+    for retired in ("link_sever", "link_restore", "fu_enable", "DegradedTopology",
+                    "UnreachableCluster", "repair_after", "fail_cluster",
+                    "FaultSchedule.from_json"):
+        assert faults.search(retired), retired
+    assert not faults.search("stats.links_severed")  # the kept stat
 
 
 def test_lint_scans_inline_spans_and_fences(tmp_path):
     """Prose mentions count too: an inline span outside any fence is
-    scanned, as is every line of a fence, each with its own line number."""
+    scanned, also when it wraps across a line break, as is every line of a
+    fence, each with its own line number."""
     doc = tmp_path / "doc.md"
     doc.write_text(
-        "Use `SweepRunner(trace_dir=...)` here.\n"
+        "Use `SweepRunner(trace_dir=...)` here, not `pytest benchmarks/\n"
+        "--benchmark-only`.\n"
         "```text\n"
         "python -m repro figure5 --jobs 2\n"
         "```\n",
@@ -226,5 +270,6 @@ def test_lint_scans_inline_spans_and_fences(tmp_path):
     )
     assert list(_code_spans(doc)) == [
         (1, "SweepRunner(trace_dir=...)"),
-        (3, "python -m repro figure5 --jobs 2"),
+        (1, "pytest benchmarks/ --benchmark-only"),
+        (4, "python -m repro figure5 --jobs 2"),
     ]

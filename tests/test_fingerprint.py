@@ -43,12 +43,9 @@ FAULT_SCENARIOS = {
         "explore",
         FaultSchedule((FaultEvent(cycle=900, kind="cluster_kill", cluster=5),)),
     ),
-    "kill-restore": (
+    "kill-3": (
         "no-explore",
-        FaultSchedule((
-            FaultEvent(cycle=800, kind="cluster_kill", cluster=3),
-            FaultEvent(cycle=1600, kind="cluster_restore", cluster=3),
-        )),
+        FaultSchedule((FaultEvent(cycle=800, kind="cluster_kill", cluster=3),)),
     ),
     "fu-disable": (
         "finegrain",
@@ -63,9 +60,9 @@ FAULT_SCENARIOS = {
             FaultEvent(cycle=600, kind="link_degrade", src=1, dst=2, factor=4),
         )),
     ),
-    "link-sever": (
+    "degrade-2-3": (
         "none",
-        FaultSchedule((FaultEvent(cycle=1000, kind="link_sever", src=2, dst=3),)),
+        FaultSchedule((FaultEvent(cycle=1000, kind="link_degrade", src=2, dst=3),)),
     ),
     "mixed": (
         "explore",
@@ -77,15 +74,10 @@ FAULT_SCENARIOS = {
     ),
 }
 
-#: multiprogrammed cases: two mixes x two fabrics x every arbiter, plus
-#: one kill/restore schedule whose events fall mid-epoch
+#: multiprogrammed cases: two mixes x two fabrics x every arbiter
 MULTIPROG_MIXES = (("gzip", "swim"), ("crafty", "galgel", "parser", "djpeg"))
 MULTIPROG_FABRICS = ("torus", "grid")
 MULTIPROG_ARBITERS = ("static", "round-robin", "comm-aware")
-MULTIPROG_KILL_RESTORE = FaultSchedule((
-    FaultEvent(cycle=350, kind="cluster_kill", cluster=5),
-    FaultEvent(cycle=1100, kind="cluster_restore", cluster=5),
-))
 
 #: runs that reach what the keys above do not: an explore controller that
 #: finishes exploring, no-explore entering its measurement phase, and the
@@ -140,10 +132,10 @@ def test_faulted_run_is_bit_identical(topology, scenario):
     )
 
 
-def _multiprog_fingerprint(mix, topology, arbiter, faults=None):
+def _multiprog_fingerprint(mix, topology, arbiter):
     result = run_multiprog(MultiProgSpec(
         mix, trace_length=1_500, seed=7, topology=topology, arbiter=arbiter,
-        epoch_cycles=400, faults=faults,
+        epoch_cycles=400,
     ))
     assert result.committed == 1_500 * len(mix)
     payload = json.dumps(
@@ -164,13 +156,6 @@ def test_multiprog_run_matches_golden(mix, topology, arbiter):
     )
 
 
-def test_multiprog_kill_restore_matches_golden():
-    digest = _multiprog_fingerprint(
-        ("gzip", "swim"), "torus", "comm-aware", MULTIPROG_KILL_RESTORE
-    )
-    _check_golden("multiprog/gzip+swim/torus/comm-aware+kill-restore", digest)
-
-
 def _decision_fingerprint(run):
     profile, length, policy = run.split("/")
     trace = generate_trace(get_profile(profile), int(length), seed=13)
@@ -188,12 +173,8 @@ def golden_digest(key):
     if key.startswith("decision/"):
         return _decision_fingerprint(key[len("decision/"):])
     if key.startswith("multiprog/"):
-        _, mix, topology, run = key.split("/")
-        arbiter, _, scenario = run.partition("+")
-        faults = MULTIPROG_KILL_RESTORE if scenario else None
-        return _multiprog_fingerprint(
-            tuple(mix.split("+")), topology, arbiter, faults
-        )
+        _, mix, topology, arbiter = key.split("/")
+        return _multiprog_fingerprint(tuple(mix.split("+")), topology, arbiter)
     topology, run = key.split("/")
     policy, _, scenario = run.partition("+")
     faults = FAULT_SCENARIOS[scenario][1] if scenario else None
