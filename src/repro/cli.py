@@ -149,18 +149,24 @@ def _run_policy(machine: str, controller: str, clusters: int) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = simulate(
-        args.benchmark,
-        trace_length=args.length,
-        seed=args.seed,
-        topology=args.machine,
-        reconfig_policy=_run_policy(args.machine, args.controller, args.clusters),
-        warmup=args.warmup,
-        trace=args.trace,
-    )
+    policy = _run_policy(args.machine, args.controller, args.clusters)
+    try:
+        result = simulate(
+            args.benchmark,
+            trace_length=args.length,
+            seed=args.seed,
+            topology=args.machine,
+            reconfig_policy=policy,
+            warmup=args.warmup,
+            trace=args.trace,
+        )
+    except ConfigError as error:
+        # a machine the flags cannot build, such as --clusters 32 on the
+        # 16-cluster machine, fails before any cycle runs
+        print(error, file=sys.stderr)
+        return 2
     s = result.stats
-    print(f"{args.benchmark} on {args.machine} "
-          f"({args.controller}{'' if args.controller != 'static' else f'-{args.clusters}'})")
+    print(f"{args.benchmark} on {args.machine} ({policy})")
     print(f"  IPC                {result.ipc:.3f}")
     print(f"  cycles             {result.cycles}")
     print(f"  branch accuracy    {s.branch_accuracy:.1%}")

@@ -142,7 +142,6 @@ class CacheConfig:
     line_size: int = 32
     latency: int = 6
     banks: int = 4
-    ports_per_bank: int = 1
 
     @property
     def num_sets(self) -> int:
@@ -159,10 +158,8 @@ class MemoryConfig:
     l2_latency: int = 25
     memory_latency: int = 160
     lsq_size_per_cluster: int = 15
-    # Two-level bank predictor (decentralized cache only), after Yoaz et al.
-    bank_predictor_l1_size: int = 1024
-    bank_predictor_l2_size: int = 4096
-    bank_predictor_history_bits: int = 6
+    #: per-PC stride bank predictor entries (decentralized cache only)
+    bank_predictor_entries: int = 1024
 
 
 def centralized_cache() -> MemoryConfig:
@@ -190,15 +187,17 @@ def decentralized_cache(num_clusters: int = 16) -> MemoryConfig:
 
 @dataclass(frozen=True)
 class InterconnectConfig:
-    """Cluster-to-cluster network (Section 2.3)."""
+    """Cluster-to-cluster network (Section 2.3).
 
-    #: "ring" (two unidirectional rings) or "grid" (2-D array, XY routing)
+    Every directed link carries one transfer per cycle; a transfer that
+    finds its link booked waits for the next free cycle.
+    """
+
+    #: one of :data:`FABRICS`: "ring" (two unidirectional rings), "grid"
+    #: (2-D array, XY routing), "torus" (the grid with wraparound links)
+    #: or "ring-of-rings" (local rings bridged by a hub ring)
     topology: str = "ring"
     hop_latency: int = 1
-    #: links carry one word-group transfer per cycle in each direction
-    link_bandwidth: int = 1
-    #: model link contention (can be disabled for idealization studies)
-    model_contention: bool = True
     #: idealization switches used by the Section 4/5 communication breakdown
     free_memory_communication: bool = False
     free_register_communication: bool = False
@@ -309,7 +308,6 @@ def monolithic_config() -> ProcessorConfig:
             fp_muls=16,
         ),
         memory=memory,
-        interconnect=InterconnectConfig(topology="ring", model_contention=False),
     )
 
 

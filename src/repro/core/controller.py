@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..errors import ConfigError
 from ..observability.tracer import NULL_TRACER, Tracer
 from ..stats import IntervalTracker
 from ..workloads.instruction import Instr
@@ -81,6 +82,14 @@ class StaticController(ReconfigurationController):
         self.num_clusters = num_clusters
 
     def attach(self, processor: "ClusteredProcessor") -> None:
+        machine = processor.config.num_clusters
+        if self.num_clusters > machine:
+            # the other controllers' requests are clamped to the machine;
+            # a fixed count it cannot run would mislabel the whole run
+            raise ConfigError(
+                f"static-{self.num_clusters} asks for {self.num_clusters} "
+                f"clusters, but the machine has {machine}"
+            )
         super().attach(processor)
         processor.set_active_clusters(self.num_clusters, reason="static")
 

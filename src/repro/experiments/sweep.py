@@ -182,7 +182,13 @@ class ControllerSpec:
         if policy == "":
             return cls.none()
         if policy.startswith("static-"):
-            return cls.static(int(policy.split("-", 1)[1]))
+            count = policy[len("static-"):]
+            if not count.isdecimal() or int(count) < 1:
+                raise ConfigError(
+                    f"reconfig_policy {policy!r}: static-<n> needs a "
+                    "positive cluster count"
+                )
+            return cls.static(int(count))
         if policy == "static":
             return cls.static(clusters)
         if policy not in _POLICY_SPECS:
@@ -719,6 +725,7 @@ class SweepMetrics:
             "timeouts": self.timeouts,
             "retries": self.retries,
             "journal_skips": self.journal_skips,
+            "journal_errors": self.journal_errors,
             "pool_respawns": self.pool_respawns,
             "poisoned": self.poisoned,
             "cache_hits": self.cache_hits,

@@ -1,11 +1,10 @@
 """Inter-cluster interconnect: topologies and the contention-aware network."""
 
-from .grid import GridTopology
+from .grid import GridTopology, TorusTopology
 from .hierring import HierRingTopology
 from .network import Network, build_topology
 from .ring import RingTopology
 from .topology import Topology
-from .torus import TorusTopology
 
 __all__ = [
     "GridTopology",

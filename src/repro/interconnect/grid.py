@@ -1,11 +1,11 @@
-"""2-D grid interconnect with XY (dimension-ordered) routing (Section 6)."""
+"""2-D grid interconnect with XY (dimension-ordered) routing (Section 6),
+and the torus: the same grid with wraparound links in both dimensions."""
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from .topology import Topology
+from .topology import Topology, near_square_side, ring_step
 
 
 class GridTopology(Topology):
@@ -17,62 +17,50 @@ class GridTopology(Topology):
     routing).
     """
 
-    def __init__(self, num_nodes: int, cols: int = 0) -> None:
+    #: close the grid edges into rings (see :class:`TorusTopology`)
+    wrap = False
+
+    def __init__(self, num_nodes: int) -> None:
+        self.cols = near_square_side(num_nodes)
+        self.rows = num_nodes // self.cols
         super().__init__(num_nodes)
-        if cols <= 0:
-            cols = int(round(math.sqrt(num_nodes)))
-            cols = max(1, cols)
-            while num_nodes % cols != 0:
-                cols -= 1
-        if num_nodes % cols != 0:
-            raise ValueError(f"{num_nodes} nodes do not fill a grid of {cols} columns")
-        self.cols = cols
-        self.rows = num_nodes // cols
-        self._link_ids: Dict[Tuple[int, int], int] = {}
-        for node in range(num_nodes):
-            r, c = divmod(node, cols)
+
+    def _links(self) -> List[Tuple[int, int]]:
+        candidates: List[Tuple[int, int]] = []
+        for node in range(self.num_nodes):
+            r, c = divmod(node, self.cols)
             for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
                 nr, nc = r + dr, c + dc
-                if 0 <= nr < self.rows and 0 <= nc < self.cols:
-                    neighbour = nr * cols + nc
-                    self._link_ids[(node, neighbour)] = len(self._link_ids)
-        self._route_cache: List[List[Sequence[int]]] = [
-            [self._compute_route(s, d) for d in range(num_nodes)]
-            for s in range(num_nodes)
-        ]
+                if self.wrap:
+                    nr, nc = nr % self.rows, nc % self.cols
+                elif not (0 <= nr < self.rows and 0 <= nc < self.cols):
+                    continue
+                candidates.append((node, nr * self.cols + nc))
+        # a wrapped dimension of 1 or 2 nodes reaches the node itself or
+        # one neighbour both ways: one link each, none to itself
+        return [link for link in dict.fromkeys(candidates) if link[0] != link[1]]
 
-    @property
-    def num_links(self) -> int:
-        return len(self._link_ids)
+    def _step(self, at: int, to: int, size: int) -> int:
+        if self.wrap:
+            return ring_step(at, to, size)
+        return at + 1 if to > at else at - 1
 
-    def _compute_route(self, src: int, dst: int) -> Sequence[int]:
-        links: List[int] = []
-        r, c = divmod(src, self.cols)
+    def _next_hop(self, node: int, dst: int) -> int:
+        r, c = divmod(node, self.cols)
         dr, dc = divmod(dst, self.cols)
-        node = src
-        while c != dc:
-            step = 1 if dc > c else -1
-            nxt = node + step
-            links.append(self._link_ids[(node, nxt)])
-            node = nxt
-            c += step
-        while r != dr:
-            step = 1 if dr > r else -1
-            nxt = node + step * self.cols
-            links.append(self._link_ids[(node, nxt)])
-            node = nxt
-            r += step
-        return tuple(links)
+        if c != dc:
+            return r * self.cols + self._step(c, dc, self.cols)
+        return self._step(r, dr, self.rows) * self.cols + c
 
-    def route(self, src: int, dst: int) -> Sequence[int]:
-        self._check(src, dst)
-        return self._route_cache[src][dst]
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src, dst)
-        r, c = divmod(src, self.cols)
-        dr, dc = divmod(dst, self.cols)
-        return abs(r - dr) + abs(c - dc)
+class TorusTopology(GridTopology):
+    """A grid with wraparound links in both dimensions.
 
-    def link_endpoints(self) -> Dict[int, Tuple[int, int]]:
-        return {link: ends for ends, link in self._link_ids.items()}
+    Every cluster sees a symmetric neighbourhood, so the open grid's worse
+    corner clusters cannot bias a comparison of allocation arbiters.  A
+    4x4 torus has 64 directed links and a maximum distance of 4 hops.
+    Messages route X first, then Y, each the shorter way round (ties go
+    toward the higher index).
+    """
+
+    wrap = True

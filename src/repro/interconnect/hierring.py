@@ -15,124 +15,48 @@ and the grid (48 links, 6 hops), but with a much sharper locality cliff.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from .topology import Topology
-
-
-def _ring_path(start: int, stop: int, size: int) -> List[Tuple[int, int]]:
-    """The (position, direction) steps of the shorter way round a ring.
-
-    Positions are ring-local indices; ``direction`` is +1 (clockwise) or
-    -1, with ties going clockwise as in :class:`RingTopology`.
-    """
-    cw = (stop - start) % size
-    ccw = (start - stop) % size
-    steps: List[Tuple[int, int]] = []
-    position = start
-    if cw <= ccw:
-        for _ in range(cw):
-            steps.append((position, 1))
-            position = (position + 1) % size
-    else:
-        for _ in range(ccw):
-            steps.append((position, -1))
-            position = (position - 1) % size
-    return steps
+from .topology import Topology, near_square_side, ring_step
 
 
 class HierRingTopology(Topology):
     """Ring of rings: local group rings bridged by a global hub ring.
 
-    ``group`` is the local ring size; it must divide ``num_nodes`` and
-    defaults to the divisor nearest ``sqrt(num_nodes)`` so 16 clusters
-    form 4 groups of 4.  Node ``g * group`` is group ``g``'s hub.
+    A local ring holds ``group = near_square_side(num_nodes)`` nodes (16
+    clusters form 4 groups of 4); node ``g * group`` is group ``g``'s hub.
     """
 
-    def __init__(self, num_nodes: int, group: int = 0) -> None:
+    def __init__(self, num_nodes: int) -> None:
+        self.group = near_square_side(num_nodes)
+        self.num_groups = num_nodes // self.group
         super().__init__(num_nodes)
-        if group <= 0:
-            group = int(round(math.sqrt(num_nodes)))
-            group = max(1, group)
-            while num_nodes % group != 0:
-                group -= 1
-        if num_nodes % group != 0:
-            raise ValueError(
-                f"{num_nodes} nodes do not fill rings of {group}"
-            )
-        self.group = group
-        self.num_groups = num_nodes // group
-        self._link_ids: Dict[Tuple[int, int], int] = {}
-        # local rings first (deterministic: group order, cw then ccw)
-        if group > 1:
-            for g in range(self.num_groups):
-                base = g * group
-                for i in range(group):
-                    self._add(base + i, base + (i + 1) % group)
-                for i in range(group):
-                    self._add(base + i, base + (i - 1) % group)
-        # then the global hub ring
-        if self.num_groups > 1:
-            for g in range(self.num_groups):
-                self._add(g * group, ((g + 1) % self.num_groups) * group)
-            for g in range(self.num_groups):
-                self._add(g * group, ((g - 1) % self.num_groups) * group)
-        self._route_cache: List[List[Sequence[int]]] = [
-            [self._compute_route(s, d) for d in range(num_nodes)]
-            for s in range(num_nodes)
+
+    def _links(self) -> List[Tuple[int, int]]:
+        group, hubs = self.group, self.num_groups
+        # local rings first (group order, cw then ccw), then the hub ring
+        candidates = [
+            (g * group + i, g * group + (i + step) % group)
+            for g in range(hubs)
+            for step in (1, -1)
+            for i in range(group)
+        ] + [
+            (g * group, (g + step) % hubs * group)
+            for step in (1, -1)
+            for g in range(hubs)
         ]
-
-    def _add(self, src: int, dst: int) -> None:
-        if src != dst:
-            self._link_ids.setdefault((src, dst), len(self._link_ids))
-
-    @property
-    def num_links(self) -> int:
-        return len(self._link_ids)
+        # a 1- or 2-node ring reaches itself or one neighbour both ways
+        return [link for link in dict.fromkeys(candidates) if link[0] != link[1]]
 
     def hub(self, node: int) -> int:
         """The hub node of ``node``'s group."""
         return (node // self.group) * self.group
 
-    def _local_links(self, src: int, dst: int) -> List[int]:
-        """Links along the local ring between two same-group nodes."""
-        base = self.hub(src)
-        links: List[int] = []
-        for position, direction in _ring_path(
-            src - base, dst - base, self.group
-        ):
-            node = base + position
-            nxt = base + (position + direction) % self.group
-            links.append(self._link_ids[(node, nxt)])
-        return links
-
-    def _global_links(self, src_hub: int, dst_hub: int) -> List[int]:
-        """Links along the hub ring between two hub nodes."""
-        links: List[int] = []
-        for position, direction in _ring_path(
-            src_hub // self.group, dst_hub // self.group, self.num_groups
-        ):
-            node = position * self.group
-            nxt = ((position + direction) % self.num_groups) * self.group
-            links.append(self._link_ids[(node, nxt)])
-        return links
-
-    def _compute_route(self, src: int, dst: int) -> Sequence[int]:
-        if src == dst:
-            return ()
-        src_hub, dst_hub = self.hub(src), self.hub(dst)
-        if src_hub == dst_hub:
-            return tuple(self._local_links(src, dst))
-        return tuple(
-            self._local_links(src, src_hub)
-            + self._global_links(src_hub, dst_hub)
-            + self._local_links(dst_hub, dst)
-        )
-
-    def route(self, src: int, dst: int) -> Sequence[int]:
-        self._check(src, dst)
-        return self._route_cache[src][dst]
-
-    def link_endpoints(self) -> Dict[int, Tuple[int, int]]:
-        return {link: ends for ends, link in self._link_ids.items()}
+    def _next_hop(self, node: int, dst: int) -> int:
+        base, dst_hub = self.hub(node), self.hub(dst)
+        if base == dst_hub:
+            return base + ring_step(node - base, dst - base, self.group)
+        if node != base:
+            return base + ring_step(node - base, 0, self.group)
+        group = self.group
+        return ring_step(node // group, dst_hub // group, self.num_groups) * group

@@ -1,10 +1,10 @@
-"""Link-level network model with bandwidth contention.
+"""Link-level network model with contention.
 
-Each directed link carries ``link_bandwidth`` transfers per cycle.  A
-transfer crosses its route hop by hop; at each hop it waits for a free slot
-on the link (slots are granted in request order — a monotone next-free-cycle
-reservation per link, which is the standard fast approximation) and then
-takes ``hop_latency`` cycles to traverse.
+Each directed link carries one transfer per cycle.  A transfer crosses its
+route hop by hop; at each hop it waits for a free slot on the link (slots
+are granted in request order — a next-free-cycle reservation per link,
+which is the standard fast approximation) and then takes ``hop_latency``
+cycles to traverse.
 
 The two idealization switches reproduce the paper's communication-cost
 breakdown experiments ("assuming zero inter-cluster communication cost for
@@ -21,27 +21,27 @@ from ..errors import ConfigError
 from ..faults import scrambled_topology
 from ..stats import SimStats
 from ..timing import SlotReserver
-from .grid import GridTopology
+from .grid import GridTopology, TorusTopology
 from .hierring import HierRingTopology
 from .ring import RingTopology
 from .topology import Topology
-from .torus import TorusTopology
+
+#: fabric name -> topology class (``config.FABRICS`` names the same four)
+_TOPOLOGY_CLASSES = {
+    "ring": RingTopology,
+    "grid": GridTopology,
+    "torus": TorusTopology,
+    "ring-of-rings": HierRingTopology,
+}
 
 
 def build_topology(config: InterconnectConfig, num_nodes: int) -> Topology:
-    if config.topology == "ring":
-        topology: Topology = RingTopology(num_nodes)
-    elif config.topology == "grid":
-        topology = GridTopology(num_nodes)
-    elif config.topology == "torus":
-        topology = TorusTopology(num_nodes)
-    elif config.topology == "ring-of-rings":
-        topology = HierRingTopology(num_nodes)
-    else:
+    cls = _TOPOLOGY_CLASSES.get(config.topology)
+    if cls is None:
         raise ConfigError(f"unknown topology {config.topology!r}")
     # chaos hook: a no-op dict lookup unless a FaultPlan armed
     # scramble_topology (see repro.faults)
-    return scrambled_topology(topology)
+    return scrambled_topology(cls(num_nodes))
 
 
 class Network:
@@ -56,18 +56,15 @@ class Network:
         self.config = config
         self.topology = build_topology(config, num_nodes)
         self.stats = stats or SimStats()
-        self._links = SlotReserver(
-            self.topology.num_links, max(1, config.link_bandwidth)
-        )
+        self._links = SlotReserver(self.topology.num_links)
         #: messages this network scheduled, maintained alongside the stats
         #: counters so the invariant checker can verify conservation (every
         #: scheduled message accounted exactly once in the statistics)
         self.messages_sent = 0
-        # idealization/contention switches, hoisted off the transfer hot
-        # path (config is fixed for the life of the network)
+        # idealization switches, hoisted off the transfer hot path
+        # (config is fixed for the life of the network)
         self._free_memory = config.free_memory_communication
         self._free_register = config.free_register_communication
-        self._contended = config.model_contention
         self._hop_latency = config.hop_latency
         #: link-fault state (see :mod:`repro.resilience`): directed link
         #: id -> degraded traversal latency (replaces ``hop_latency`` on
@@ -150,20 +147,16 @@ class Network:
         elif self._free_register:
             return start_cycle
 
-        if self._contended:
-            ready = start_cycle
-            reserve = self._links.reserve
-            table = self._link_latency
-            if table is None:
-                hop_latency = self._hop_latency
-                for link in self.topology.route(src, dst):
-                    ready = reserve(link, ready) + hop_latency
-            else:
-                for link in self.topology.route(src, dst):
-                    ready = reserve(link, ready) + table[link]
-            arrival = ready
+        arrival = start_cycle
+        reserve = self._links.reserve
+        table = self._link_latency
+        if table is None:
+            hop_latency = self._hop_latency
+            for link in self.topology.route(src, dst):
+                arrival = reserve(link, arrival) + hop_latency
         else:
-            arrival = start_cycle + self.uncontended_latency(src, dst)
+            for link in self.topology.route(src, dst):
+                arrival = reserve(link, arrival) + table[link]
 
         latency = arrival - start_cycle
         self.messages_sent += 1
@@ -201,31 +194,28 @@ class Network:
         ):
             paths = self._broadcast_paths.get(src)
             if paths is None:
-                # link ids: clockwise = sending node, counter-clockwise = N + it
-                paths = self._broadcast_paths[src] = (
-                    tuple((k % n, (k + 1) % n) for k in range(src, src + n // 2)),
+                # one copy each way round the ring: the route to the node
+                # n//2 hops on runs clockwise, the route to the node
+                # (n-1)//2 hops back counter-clockwise (ties go clockwise)
+                ends = self.topology.link_endpoints()
+                paths = self._broadcast_paths[src] = tuple(
                     tuple(
-                        (n + k % n, (k - 1) % n)
-                        for k in range(src, src - (n - 1) // 2, -1)
-                    ),
+                        (link, ends[link][1])
+                        for link in self.topology.route(src, farthest)
+                    )
+                    for farthest in ((src + n // 2) % n, (src - (n - 1) // 2) % n)
                 )
             # the two paths reach disjoint nodes (n//2 + (n-1)//2 = n-1),
             # so each node is written once, and each hop is one message
             hop = self._hop_latency
+            reserve = self._links.reserve
             total = 0
             for path in paths:
                 ready = start_cycle
-                if self._contended:
-                    reserve = self._links.reserve
-                    for link, node in path:
-                        ready = reserve(link, ready) + hop
-                        arrivals[node] = ready
-                        total += ready
-                else:
-                    for _link, node in path:
-                        ready += hop
-                        arrivals[node] = ready
-                        total += ready
+                for link, node in path:
+                    ready = reserve(link, ready) + hop
+                    arrivals[node] = ready
+                    total += ready
             sent = n - 1
             self.messages_sent += sent
             self.stats.memory_transfers += sent

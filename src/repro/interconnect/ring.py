@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from .topology import Topology
+from .topology import Topology, ring_step
 
 
 class RingTopology(Topology):
@@ -18,47 +18,11 @@ class RingTopology(Topology):
     Routing takes the direction with fewer hops (ties go clockwise).
     """
 
-    def __init__(self, num_nodes: int) -> None:
-        super().__init__(num_nodes)
-        self._route_cache: List[List[Sequence[int]]] = [
-            [self._compute_route(s, d) for d in range(num_nodes)]
-            for s in range(num_nodes)
+    def _links(self) -> List[Tuple[int, int]]:
+        n = self.num_nodes
+        return [(i, (i + 1) % n) for i in range(n)] + [
+            (i, (i - 1) % n) for i in range(n)
         ]
 
-    @property
-    def num_links(self) -> int:
-        return 2 * self.num_nodes
-
-    def _compute_route(self, src: int, dst: int) -> Sequence[int]:
-        n = self.num_nodes
-        cw = (dst - src) % n
-        ccw = (src - dst) % n
-        links: List[int] = []
-        if cw <= ccw:
-            node = src
-            for _ in range(cw):
-                links.append(node)  # clockwise link id == source node
-                node = (node + 1) % n
-        else:
-            node = src
-            for _ in range(ccw):
-                links.append(n + node)  # ccw link id == N + source node
-                node = (node - 1) % n
-        return tuple(links)
-
-    def route(self, src: int, dst: int) -> Sequence[int]:
-        self._check(src, dst)
-        return self._route_cache[src][dst]
-
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src, dst)
-        n = self.num_nodes
-        cw = (dst - src) % n
-        ccw = (src - dst) % n
-        return min(cw, ccw)
-
-    def link_endpoints(self) -> Dict[int, Tuple[int, int]]:
-        n = self.num_nodes
-        endpoints = {i: (i, (i + 1) % n) for i in range(n)}
-        endpoints.update({n + i: (i, (i - 1) % n) for i in range(n)})
-        return endpoints
+    def _next_hop(self, node: int, dst: int) -> int:
+        return ring_step(node, dst, self.num_nodes)

@@ -1,7 +1,7 @@
 """Memory hierarchy: caches, LSQs, bank prediction, and the system facades."""
 
-from .bank_predictor import TwoLevelBankPredictor
-from .cache import AccessResult, BankScheduler, SetAssocCache
+from .bank_predictor import StrideBankPredictor
+from .cache import AccessResult, SetAssocCache
 from .distributed_lsq import DistributedLSQ
 from .hierarchy import (
     CentralizedMemory,
@@ -13,7 +13,6 @@ from .lsq import CentralizedLSQ, MemAccess
 
 __all__ = [
     "AccessResult",
-    "BankScheduler",
     "CentralizedLSQ",
     "CentralizedMemory",
     "DecentralizedMemory",
@@ -21,6 +20,6 @@ __all__ = [
     "MemAccess",
     "MemorySystem",
     "SetAssocCache",
-    "TwoLevelBankPredictor",
+    "StrideBankPredictor",
     "build_memory",
 ]

@@ -1,116 +1,65 @@
-"""Two-level bank predictor for the decentralized cache (after Yoaz et al.).
+"""Per-PC stride bank predictor for the decentralized cache.
 
 At rename time the steering heuristic must guess which cache bank a load or
 store will touch so it can be sent to the cluster holding that bank.  The
-predictor is branch-predictor-like (Section 5): a first-level table of
-per-PC bank-history registers selecting a second-level table of predicted
-bank numbers.  Table sizes follow the paper: 1024 first-level entries, 4096
-second-level entries.
+paper's predictor is branch-predictor-like (Section 5, after Yoaz et al.);
+this one keeps, per PC, the last committed bank, a bank stride and a
+confidence counter (DESIGN.md deviation 4 says why): 1024 entries, the
+size of the paper's first-level table.
 """
 
 from __future__ import annotations
 
 
-class TwoLevelBankPredictor:
+class StrideBankPredictor:
     """Predicts the full (maximum-width) bank number for a memory PC.
 
     The prediction is the bank index in the *16-cluster* mapping; when fewer
     clusters are active the caller keeps only the low-order bits
     (``predicted % active``), exactly as described in Section 5 ("the two
     lower order bits of the prediction indicate the correct bank").
+
+    In the pipeline the predictor is consulted at rename but trained at
+    commit, with up to a full window of same-PC accesses in flight between
+    the two.  Any pure history scheme then predicts from a context that
+    lags by the in-flight count and never locks onto a strided bank walk,
+    so each entry extrapolates past its ``inflight`` not-yet-committed
+    accesses (``bank = last + stride * (inflight + 1)``).  Strided walks
+    predict exactly under any lag; irregular streams drop to low
+    confidence and fall back to the last committed bank.
     """
 
-    def __init__(
-        self,
-        l1_size: int = 1024,
-        l2_size: int = 4096,
-        history_bits: int = 6,
-        max_banks: int = 16,
-    ) -> None:
-        for value, name in ((l1_size, "l1_size"), (l2_size, "l2_size")):
-            if value < 1 or value & (value - 1):
-                raise ValueError(f"{name} must be a positive power of two")
+    def __init__(self, entries: int = 1024, max_banks: int = 16) -> None:
+        if entries < 1 or entries & (entries - 1):
+            raise ValueError("entries must be a positive power of two")
         if max_banks < 1:
             raise ValueError("max_banks must be positive")
-        self.l1_size = l1_size
-        self.l2_size = l2_size
-        self.history_bits = history_bits
+        self.entries = entries
         self.max_banks = max_banks
-        self._bank_bits = max(1, (max_banks - 1).bit_length())
-        self._history = [0] * l1_size
-        self._table = [0] * l2_size
-        # speculative-mode state, per first-level entry:
-        # [last_committed_bank, stride, confidence, inflight_count]
-        self._stride = [[0, 0, 0, 0] for _ in range(l1_size)]
+        # per entry: [last_committed_bank, stride, confidence, inflight_count]
+        self._stride = [[0, 0, 0, 0] for _ in range(entries)]
 
-    def _l1_index(self, pc: int) -> int:
-        return (pc >> 2) & (self.l1_size - 1)
-
-    def _l2_index(self, pc: int, history: int) -> int:
-        # concatenate PC bits above the history bits: the history only spans
-        # 2^history_bits values, so XOR folding would squeeze every site
-        # into the same small corner of the table and they would destroy
-        # each other's patterns
-        return ((pc >> 2) << self.history_bits | history) & (self.l2_size - 1)
-
-    def _shift(self, history: int, bank: int) -> int:
-        mask = (1 << self.history_bits) - 1
-        return ((history << self._bank_bits) | bank) & mask
-
-    def predict(self, pc: int) -> int:
-        history = self._history[self._l1_index(pc)]
-        return self._table[self._l2_index(pc, history)]
-
-    def update(self, pc: int, actual_bank: int) -> None:
-        if not 0 <= actual_bank < self.max_banks:
-            raise ValueError(f"bank {actual_bank} out of range")
-        i1 = self._l1_index(pc)
-        history = self._history[i1]
-        self._table[self._l2_index(pc, history)] = actual_bank
-        self._history[i1] = self._shift(history, actual_bank)
-
-    # ------------------------------------------------------------------
-    # speculative interface (used by the decentralized memory system)
-    #
-    # Bank prediction happens at rename, but the training information (the
-    # real address) only arrives later.  With a deep window many accesses of
-    # the same PC are in flight, so a single history would lag by the
-    # in-flight count and never lock onto strided bank patterns.  The
-    # standard fix: predictions extend a *speculative* history immediately;
-    # an *architectural* history advances in commit order and trains the
-    # table under the true pre-access context; a misprediction resyncs the
-    # speculative history from the architectural one.
+    def _index(self, pc: int) -> int:
+        return (pc >> 2) & (self.entries - 1)
 
     def predict_speculative(self, pc: int):
-        """Returns (predicted_bank, token); pass the token to resolve().
-
-        In the pipeline the predictor is consulted at rename but trained at
-        commit, with up to a full window of same-PC accesses in flight
-        between the two.  Any pure history scheme then predicts from a
-        context that lags by the in-flight count and never locks onto a
-        strided bank walk, so the speculative mode uses the lag-tolerant
-        structure: per-PC last-committed bank + bank stride + confidence,
-        extrapolated past the ``inflight`` not-yet-committed accesses
-        (``bank = last + stride * (inflight + 1)``).  Strided walks predict
-        exactly under any lag; irregular streams drop to low confidence and
-        fall back to the last committed bank.
-        """
-        i1 = self._l1_index(pc)
-        entry = self._stride[i1]
+        """Returns (predicted_bank, token); pass the token to resolve()."""
+        index = self._index(pc)
+        entry = self._stride[index]
         last, stride, confidence, inflight = entry
         if confidence >= 2:
             predicted = (last + stride * (inflight + 1)) % self.max_banks
         else:
             predicted = last
         entry[3] = inflight + 1
-        return predicted, (i1, predicted)
+        return predicted, (index, predicted)
 
     def resolve(self, token, actual_bank: int) -> None:
         """Train with the actual bank, in program (commit) order."""
         if not 0 <= actual_bank < self.max_banks:
             raise ValueError(f"bank {actual_bank} out of range")
-        i1, _predicted = token
-        entry = self._stride[i1]
+        index, _predicted = token
+        entry = self._stride[index]
         last, stride, confidence, inflight = entry
         observed = (actual_bank - last) % self.max_banks
         if observed == stride:

@@ -1,8 +1,8 @@
 """Set-associative cache tag store with LRU replacement and dirty bits.
 
 Functional only — timing (bank ports, L2/memory latency) is composed on top
-by :mod:`repro.memory.hierarchy`.  Word interleaving for bank *port*
-scheduling is handled by :class:`BankScheduler`.
+by :mod:`repro.memory.hierarchy`, which books each bank's one port per
+cycle on a :class:`~repro.timing.SlotReserver`.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..config import CacheConfig
-from ..timing import SlotReserver
 
 
 class AccessResult:
@@ -77,26 +76,3 @@ class SetAssocCache:
                 dirty += entry[1]
         self._sets.clear()
         return dirty
-
-
-class BankScheduler:
-    """Per-bank port reservation (one access per port per cycle).
-
-    The word-interleaved cache of Section 2.1 has one port per bank; an
-    access that finds its bank busy queues behind earlier accesses.
-    """
-
-    def __init__(self, banks: int, ports_per_bank: int = 1) -> None:
-        if banks < 1 or ports_per_bank < 1:
-            raise ValueError("banks and ports_per_bank must be positive")
-        self.banks = banks
-        self.ports_per_bank = ports_per_bank
-        self._slots = SlotReserver(banks, ports_per_bank)
-
-    def reserve(self, bank: int, earliest: int) -> int:
-        """The cycle at which the access actually starts."""
-        return self._slots.reserve(bank, earliest)
-
-    def forget_before(self, horizon: int) -> None:
-        """Drop port bookings before ``horizon`` (see :mod:`repro.timing`)."""
-        self._slots.forget_before(horizon)

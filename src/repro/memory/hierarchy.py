@@ -17,6 +17,9 @@ backed by a 160-cycle memory (Table 1).  The processor talks to a
   (returns the stall in cycles).
 * ``forget_before(horizon)`` — drop bank-port and L2-port bookings before
   the ROB head's dispatch cycle (see :mod:`repro.timing`).
+
+Every L1 bank and the L2 has one port, booked one access per cycle on a
+:class:`~repro.timing.SlotReserver` calendar.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from ..config import MemoryConfig, ProcessorConfig
 from ..errors import ConfigError
 from ..interconnect.network import Network
 from ..stats import SimStats
+from ..timing import SlotReserver
 from ..workloads.instruction import Instr
-from .bank_predictor import TwoLevelBankPredictor
-from .cache import BankScheduler, SetAssocCache
+from .bank_predictor import StrideBankPredictor
+from .cache import SetAssocCache
 from .distributed_lsq import DistributedLSQ
 from .lsq import CentralizedLSQ, MemAccess
 
@@ -57,7 +61,7 @@ class _SharedL2:
             ),
             name="L2",
         )
-        self.port = BankScheduler(banks=1, ports_per_bank=1)
+        self.port = SlotReserver(1)
 
     def access(self, addr: int, start: int, is_write: bool = False) -> int:
         """Returns the cycle data is available at the home cluster."""
@@ -140,7 +144,7 @@ class CentralizedMemory(MemorySystem):
             raise ConfigError("CentralizedMemory needs a centralized MemoryConfig")
         l1 = config.memory.l1
         self.l1 = SetAssocCache(l1, name="L1")
-        self.banks = BankScheduler(l1.banks, l1.ports_per_bank)
+        self.banks = SlotReserver(l1.banks)
         self.lsq = CentralizedLSQ(
             config.memory.lsq_size_per_cluster * config.num_clusters
         )
@@ -217,14 +221,12 @@ class DecentralizedMemory(MemorySystem):
         self.bank_caches = [
             SetAssocCache(l1, name=f"L1[{k}]") for k in range(config.num_clusters)
         ]
-        self.ports = BankScheduler(config.num_clusters, l1.ports_per_bank)
+        self.ports = SlotReserver(config.num_clusters)
         self.lsq = DistributedLSQ(
             config.num_clusters, config.memory.lsq_size_per_cluster
         )
-        self.predictor = TwoLevelBankPredictor(
-            l1_size=config.memory.bank_predictor_l1_size,
-            l2_size=config.memory.bank_predictor_l2_size,
-            history_bits=config.memory.bank_predictor_history_bits,
+        self.predictor = StrideBankPredictor(
+            entries=config.memory.bank_predictor_entries,
             max_banks=config.num_clusters,
         )
         #: per-in-flight-instruction (prediction, predictor token)

@@ -49,9 +49,9 @@ change *nothing* observable:
 Three further exact caches ride on the same absolute-cycle property:
 
 * the LSQ capacity gates and bank-predictor steering hints are inlined
-  per memory organization (the decentralized gate's speculative token is
-  minted exactly once per instruction, call-for-call where the original
-  minted it);
+  for both memory organizations, the only two ``build_memory`` makes
+  (the decentralized gate's speculative token is minted exactly once per
+  instruction, call-for-call where the original minted it);
 * a *wake-front* lower bound over the clusters' ``wake_cycle`` values
   lets the issue scan be skipped entirely while no cluster can wake —
   re-derived in O(clusters) at every site that writes a wake;
@@ -75,7 +75,7 @@ on skipping:
   LSQ, a full store-target bank set, every decentralized bank full for
   a load, or an empty feasibility walk of the default steering policy
   over its owned clusters (window/IQ/RF occupancy only; Mod-N/first-fit
-  ablations and custom memory systems always count as engageable);
+  ablations always count as engageable);
 * every quantity the blocked-dispatch proof reads is constant over the
   skip window: issue-queue slots free only at a ``wake_cycle``, regis-
   ters and the centralized LSQ free only at the ROB head's finish, and
@@ -100,7 +100,7 @@ from ..clusters.cluster import _IS_FP
 from ..clusters.functional_units import EXEC_LATENCY
 from ..clusters.steering import ProducerSteering
 from ..errors import SimulationError
-from ..memory.hierarchy import CentralizedMemory, DecentralizedMemory
+from ..memory.hierarchy import CentralizedMemory
 from ..workloads.instruction import OpClass
 from .rob import InFlight
 
@@ -189,7 +189,6 @@ class FusedCore:
         on_commit = controller.on_commit if controller is not None else None
         wants_dispatch = p._controller_wants_dispatch
         resolve_operand = p._resolve_operand
-        memory_slot_ok = p._memory_slot_ok
         steer = p.steering
         # inline the default heuristic only when it is bound to exactly
         # the pipeline's cluster list; ablation policies take the call
@@ -202,28 +201,25 @@ class FusedCore:
             predict_crit = steer.criticality.predict_critical_operand
         crit_update = p.criticality.update
         transfer = p.network.transfer
-        can_dispatch = mem.can_dispatch
-        preferred_cluster = mem.preferred_cluster
-        # LSQ capacity gates, inlined per organization.  The centralized
-        # gate is ``not lsq.full`` (its entry dict is mutated in place);
-        # the decentralized one reads the per-cluster occupancy list (also
+        # LSQ capacity gates, inlined per organization (``build_memory``
+        # makes exactly one of the two).  The centralized gate is ``not
+        # lsq.full`` (its entry dict is mutated in place); the
+        # decentralized one reads the per-cluster occupancy list (also
         # in-place) and mints a bank-predictor token, memoized per
         # instruction index, so a single mint here is call-for-call
-        # identical to the original gate + steering-hint pair.  Exact
-        # types only — wrappers and futures take the generic calls.
-        mem_t = type(mem)
-        if mem_t is CentralizedMemory:
-            mem_mode = 1
+        # identical to the original gate + steering-hint pair.  The
+        # distributed LSQ's release heap is mutated in place too.
+        centralized = type(mem) is CentralizedMemory
+        if centralized:
             clsq_entries = mem.lsq._entries
             clsq_cap = mem.lsq.capacity
-        elif mem_t is DecentralizedMemory:
-            mem_mode = 2
+            releases = None
+        else:
             dlsq_occ = mem.lsq._occupancy
             dlsq_cap = mem.lsq.capacity
             pred_tokens = mem._pred_tokens
             predict_spec = mem.predictor.predict_speculative
-        else:
-            mem_mode = 0
+            releases = mem.lsq._releases
         mem_commit = mem.commit
         mem_dispatch = mem.dispatch
         mem_forget = mem.forget_before
@@ -246,10 +242,7 @@ class FusedCore:
         branch_op = _BRANCH
         disp_lat = self._disp_lat
         redirect_lat = self._redirect_lat
-        # the distributed LSQ's release heap is mutated in place; the
-        # centralized memory system's tick is the base-class no-op
-        lsq = getattr(mem, "lsq", None)
-        releases = getattr(lsq, "_releases", None)
+        # the centralized memory system's tick is the base-class no-op
         lsq_tick = mem.tick
 
         cycle = p.cycle
@@ -295,7 +288,7 @@ class FusedCore:
             stats.cluster_cycle_product += p.effective_active_clusters
 
             # -- memory housekeeping + load-completion drain -----------
-            if releases is not None and releases and releases[0][0] <= cycle:
+            if releases and releases[0][0] <= cycle:
                 lsq_tick(cycle)
                 active = True
             completions = mem._completions
@@ -555,45 +548,40 @@ class FusedCore:
                     # ---- LSQ gate + steering hint, per organization ----
                     preferred = None
                     if is_mem:
-                        if mem_mode == 1:
+                        if centralized:
                             if len(clsq_entries) >= clsq_cap:
                                 break
-                        elif mem_mode == 2:
-                            if instr.is_store:
-                                # gate first: the token is only minted
-                                # once a store passes (original order)
-                                banks = mem._banks
-                                blocked = False
-                                for k in banks:
-                                    if dlsq_occ[k] >= dlsq_cap:
-                                        blocked = True
-                                        break
-                                if blocked:
+                        elif instr.is_store:
+                            # gate first: the token is only minted
+                            # once a store passes (original order)
+                            banks = mem._banks
+                            blocked = False
+                            for k in banks:
+                                if dlsq_occ[k] >= dlsq_cap:
+                                    blocked = True
                                     break
-                                token = pred_tokens.get(instr.index)
-                                if token is None:
-                                    predicted, tok = predict_spec(instr.pc)
-                                    pred_tokens[instr.index] = (predicted, tok)
-                                else:
-                                    predicted = token[0]
-                                preferred = banks[predicted % len(banks)]
-                            else:
-                                # the load gate itself consults the
-                                # predictor, so mint before checking
-                                token = pred_tokens.get(instr.index)
-                                if token is None:
-                                    predicted, tok = predict_spec(instr.pc)
-                                    pred_tokens[instr.index] = (predicted, tok)
-                                else:
-                                    predicted = token[0]
-                                banks = mem._banks
-                                preferred = banks[predicted % len(banks)]
-                                if dlsq_occ[preferred] >= dlsq_cap:
-                                    break
-                        else:
-                            if not can_dispatch(instr):
+                            if blocked:
                                 break
-                            preferred = preferred_cluster(instr)
+                            token = pred_tokens.get(instr.index)
+                            if token is None:
+                                predicted, tok = predict_spec(instr.pc)
+                                pred_tokens[instr.index] = (predicted, tok)
+                            else:
+                                predicted = token[0]
+                            preferred = banks[predicted % len(banks)]
+                        else:
+                            # the load gate itself consults the
+                            # predictor, so mint before checking
+                            token = pred_tokens.get(instr.index)
+                            if token is None:
+                                predicted, tok = predict_spec(instr.pc)
+                                pred_tokens[instr.index] = (predicted, tok)
+                            else:
+                                predicted = token[0]
+                            banks = mem._banks
+                            preferred = banks[predicted % len(banks)]
+                            if dlsq_occ[preferred] >= dlsq_cap:
+                                break
                     # ---- _producer_clusters, transcribed ----
                     producers: List[Tuple[int, int]] = []
                     src1 = instr.src1
@@ -715,16 +703,13 @@ class FusedCore:
                     # re-check are provably the gate's own result; only a
                     # load steered away from its predicted bank needs the
                     # per-cluster occupancy looked at again. ----
-                    if is_mem:
-                        if mem_mode == 2:
-                            if (
-                                not instr.is_store
-                                and dlsq_occ[target] >= dlsq_cap
-                            ):
-                                break
-                        elif mem_mode == 0:
-                            if not memory_slot_ok(instr, target):
-                                break
+                    if (
+                        is_mem
+                        and not centralized
+                        and not instr.is_store
+                        and dlsq_occ[target] >= dlsq_cap
+                    ):
+                        break
                     q.popleft()
                     # ---- _allocate, transcribed ----
                     rec = InFlight(
@@ -825,20 +810,19 @@ class FusedCore:
                     blocked = False
                     instr = q[0][0]
                     if instr.is_mem:
-                        if mem_mode == 1:
+                        if centralized:
                             blocked = len(clsq_entries) >= clsq_cap
-                        elif mem_mode == 2:
-                            if instr.is_store:
-                                for k in mem._banks:
-                                    if dlsq_occ[k] >= dlsq_cap:
-                                        blocked = True
-                                        break
-                            else:
-                                blocked = True
-                                for k in mem._banks:
-                                    if dlsq_occ[k] < dlsq_cap:
-                                        blocked = False
-                                        break
+                        elif instr.is_store:
+                            for k in mem._banks:
+                                if dlsq_occ[k] >= dlsq_cap:
+                                    blocked = True
+                                    break
+                        else:
+                            blocked = True
+                            for k in mem._banks:
+                                if dlsq_occ[k] < dlsq_cap:
+                                    blocked = False
+                                    break
                     if not blocked and inline_steer:
                         # pure feasibility walk: no feasible owned cluster
                         # in the active window means choose() returns None
@@ -878,17 +862,12 @@ class FusedCore:
                         # a distributed dummy-slot release can reopen the
                         # LSQ gate mid-window: make it a probe event (the
                         # heap head is already caught up past ``cycle``)
-                        if (
-                            mem_mode == 2
-                            and releases is not None
-                            and releases
-                            and releases[0][0] < t
-                        ):
+                        if releases and releases[0][0] < t:
                             t = releases[0][0]
                     else:
-                        # feasible or undecidable (ablation steering,
-                        # exotic memory): do not risk the mutating
-                        # choose()/can_dispatch() probes — just run it
+                        # feasible or undecidable (ablation steering): do
+                        # not risk the mutating choose() probe — just run
+                        # it
                         t = nxt
             if t > skip_cap:
                 t = skip_cap

@@ -1,9 +1,9 @@
 """Shared slot-reservation primitive for bandwidth-limited resources.
 
-Network links, cache-bank ports, and the L2 port all grant a bounded number
-of operations per cycle.  Requests arrive out of time order (the simulator
-schedules communication lazily, at first use), so a monotone next-free
-counter would let one far-future booking starve earlier slots.
+Network links, cache-bank ports, and the L2 port each grant one operation
+per cycle.  Requests arrive out of time order (the simulator schedules
+communication lazily, at first use), so a monotone next-free counter
+would let one far-future booking starve earlier slots.
 :class:`SlotReserver` books the first genuinely free cycle at or after the
 requested one.
 
@@ -20,22 +20,21 @@ would.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Set
 
 
 class SlotReserver:
-    """Per-resource calendar of booked cycles with bounded capacity."""
+    """Per-resource calendar of booked cycles, one booking per cycle."""
 
-    def __init__(self, resources: int, capacity_per_slot: int = 1) -> None:
-        if resources < 1 or capacity_per_slot < 1:
-            raise ValueError("resources and capacity_per_slot must be positive")
-        self.capacity = capacity_per_slot
-        self._booked: List[Dict[int, int]] = [{} for _ in range(resources)]
+    def __init__(self, resources: int) -> None:
+        if resources < 1:
+            raise ValueError("resources must be positive")
+        self._booked: List[Set[int]] = [set() for _ in range(resources)]
         #: no request may start before this cycle (see forget_before)
         self._floor = 0
 
     def reserve(self, resource: int, earliest: int) -> int:
-        """Book and return the first cycle >= ``earliest`` with capacity."""
+        """Book and return the first free cycle >= ``earliest``."""
         if earliest < self._floor:
             raise ValueError(
                 f"request at cycle {earliest} is below the booking floor "
@@ -43,14 +42,9 @@ class SlotReserver:
             )
         calendar = self._booked[resource]
         cycle = earliest
-        if self.capacity == 1:
-            while cycle in calendar:
-                cycle += 1
-            calendar[cycle] = 1
-        else:
-            while calendar.get(cycle, 0) >= self.capacity:
-                cycle += 1
-            calendar[cycle] = calendar.get(cycle, 0) + 1
+        while cycle in calendar:
+            cycle += 1
+        calendar.add(cycle)
         return cycle
 
     def forget_before(self, horizon: int) -> None:
@@ -63,6 +57,6 @@ class SlotReserver:
             return
         self._floor = horizon
         self._booked = [
-            {cycle: n for cycle, n in calendar.items() if cycle >= horizon}
+            {cycle for cycle in calendar if cycle >= horizon}
             for calendar in self._booked
         ]

@@ -198,3 +198,5 @@ class TestRunnerIntegration:
         [record] = runner.run([spec_for("gzip")])
         assert record.ok
         assert runner.metrics.journal_errors == 1
+        # the failed write reaches --metrics-json and sweep_metrics.json
+        assert runner.metrics.snapshot()["journal_errors"] == 1

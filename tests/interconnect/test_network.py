@@ -30,12 +30,15 @@ class TestLatency:
         assert net.transfer(3, 3, 100) == 100
 
     def test_uncontended_latency_is_hops(self):
-        net = _net(model_contention=False)
+        net = _net()
+        assert net.uncontended_latency(0, 4) == 4
+        assert net.uncontended_latency(0, 15) == 1  # 1 hop around the ring
+        # on idle links a transfer takes exactly that long
         assert net.transfer(0, 4, 10) == 14
-        assert net.transfer(0, 15, 10) == 11  # 1 hop around the ring
 
     def test_hop_latency_scales(self):
-        net = _net(model_contention=False, hop_latency=2)
+        net = _net(hop_latency=2)
+        assert net.uncontended_latency(0, 4) == 8
         assert net.transfer(0, 4, 10) == 18
 
     def test_contended_at_least_uncontended(self):
@@ -65,12 +68,6 @@ class TestContention:
         early = net.transfer(0, 1, 10)
         assert late == 1001
         assert early == 11
-
-    def test_bandwidth_two_allows_pairs(self):
-        net = _net(link_bandwidth=2)
-        assert net.transfer(0, 1, 10) == 11
-        assert net.transfer(0, 1, 10) == 11
-        assert net.transfer(0, 1, 10) == 12
 
 
 class TestIdealization:
@@ -141,7 +138,7 @@ class TestStats:
 
 class TestBroadcast:
     def test_broadcast_reaches_all(self):
-        net = _net(model_contention=False)
+        net = _net()
         worst = max(net.broadcast_arrivals(0, 10, kind="memory").values())
         assert worst == 10 + 8  # ring diameter
 
@@ -167,10 +164,7 @@ def _hop_by_hop_broadcast(net, src, start_cycle):
         ready = start_cycle
         steps = n // 2 if direction == 1 else (n - 1) // 2
         for _ in range(steps):
-            if net.config.model_contention:
-                ready = net._links.reserve(link_of(node), ready) + hop
-            else:
-                ready += hop
+            ready = net._links.reserve(link_of(node), ready) + hop
             node = (node + direction) % n
             arrivals[node] = min(arrivals.get(node, ready), ready)
             net.messages_sent += 1
@@ -181,12 +175,8 @@ def _hop_by_hop_broadcast(net, src, start_cycle):
 
 class TestBroadcastAgainstHopByHopModel:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 16])
-    @pytest.mark.parametrize("contention", [True, False])
-    @pytest.mark.parametrize("bandwidth", [1, 2])
-    def test_every_source_matches(self, n, contention, bandwidth):
-        config = InterconnectConfig(
-            model_contention=contention, link_bandwidth=bandwidth
-        )
+    def test_every_source_matches(self, n):
+        config = InterconnectConfig()
         for src in range(n):
             rng = random.Random(n * 1000 + src)
             nets = [Network(config, n, SimStats()) for _ in range(2)]

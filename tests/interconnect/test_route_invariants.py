@@ -1,13 +1,16 @@
-"""Route-table integrity: the new fabrics, and proof the checker bites.
+"""Route-table integrity: every fabric, and proof the checker bites.
 
 The torus and ring-of-rings bring wraparound links and hub indirection —
 exactly the wiring classes where an off-by-one builds a *plausible* but
 wrong route table.  The positive half walks every route of every
-topology against ``link_endpoints()``; the negative half arms the
+topology against ``link_endpoints()`` and checks it against a
+breadth-first search of the same links; the negative half arms the
 ``scramble_topology`` fault (:mod:`repro.faults`) and proves a full
 simulation with invariant checking on reports the corruption as a
 :class:`~repro.errors.SimulationError` instead of committing statistics.
 """
+
+from collections import deque
 
 import pytest
 
@@ -26,24 +29,59 @@ ALL_TOPOLOGIES = ("ring", "grid", "torus", "ring-of-rings")
 
 
 def walk(topology):
-    """Assert every route is a connected link chain of the right length."""
+    """Assert every route is a connected link chain from src to dst."""
     endpoints = topology.link_endpoints()
     for src in range(topology.num_nodes):
         for dst in range(topology.num_nodes):
-            route = list(topology.route(src, dst))
             at = src
-            for link in route:
+            for link in topology.route(src, dst):
                 head, tail = endpoints[link]
                 assert head == at, (src, dst, link)
                 at = tail
             assert at == dst, (src, dst)
-            assert len(route) == topology.hops(src, dst), (src, dst)
+
+
+def bfs_distances(topology, src):
+    """Hop distance from ``src`` to every node over the real links."""
+    neighbours = {}
+    for head, tail in topology.link_endpoints().values():
+        neighbours.setdefault(head, []).append(tail)
+    distance = {src: 0}
+    frontier = deque([src])
+    while frontier:
+        node = frontier.popleft()
+        for nxt in neighbours.get(node, ()):
+            if nxt not in distance:
+                distance[nxt] = distance[node] + 1
+                frontier.append(nxt)
+    return distance
 
 
 @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
 @pytest.mark.parametrize("nodes", (4, 8, 16))
 def test_every_route_is_a_connected_chain(name, nodes):
     walk(build_topology(InterconnectConfig(topology=name), nodes))
+
+
+@pytest.mark.parametrize("name", ALL_TOPOLOGIES)
+def test_every_route_is_a_shortest_path(name):
+    """No routing rule takes a detour: at every size from 1 to 32 nodes,
+    each route is as long as the shortest path a breadth-first search
+    finds over the fabric's own links, and ``hops`` is that length."""
+    for nodes in range(1, 33):
+        topology = build_topology(InterconnectConfig(topology=name), nodes)
+        walk(topology)
+        longest = 0
+        for src in range(nodes):
+            distance = bfs_distances(topology, src)
+            for dst in range(nodes):
+                assert (
+                    len(topology.route(src, dst))
+                    == topology.hops(src, dst)
+                    == distance[dst]
+                ), (nodes, src, dst)
+            longest = max(longest, *distance.values())
+        assert topology.max_hops() == longest
 
 
 def test_link_endpoints_cover_every_link():

@@ -1,11 +1,15 @@
-"""Set-associative cache and bank scheduler."""
+"""Set-associative cache.
+
+Bank-port booking is a :class:`~repro.timing.SlotReserver`, which
+``tests/test_timing.py`` covers.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig
-from repro.memory.cache import BankScheduler, SetAssocCache
+from repro.memory.cache import SetAssocCache
 
 
 def _cache(size=1024, assoc=2, line=32):
@@ -62,24 +66,6 @@ class TestCache:
     def test_zero_sets_rejected(self):
         with pytest.raises(ValueError):
             SetAssocCache(CacheConfig(size=16, assoc=2, line_size=32))
-
-
-class TestBankScheduler:
-    def test_single_port_serializes(self):
-        b = BankScheduler(banks=2)
-        assert b.reserve(0, 5) == 5
-        assert b.reserve(0, 5) == 6
-        assert b.reserve(1, 5) == 5
-
-    def test_two_ports(self):
-        b = BankScheduler(banks=1, ports_per_bank=2)
-        assert b.reserve(0, 5) == 5
-        assert b.reserve(0, 5) == 5
-        assert b.reserve(0, 5) == 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BankScheduler(0)
 
 
 class _ListOfSetsCache:

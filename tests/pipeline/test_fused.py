@@ -196,7 +196,7 @@ def _reservers(p):
     """The link, L1-port and L2-port calendars of a processor."""
     memory = p.memory
     ports = memory.ports if isinstance(memory, DecentralizedMemory) else memory.banks
-    return (p.network._links, ports._slots, memory.l2.port._slots)
+    return (p.network._links, ports, memory.l2.port)
 
 
 def _bookings(p):

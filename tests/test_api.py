@@ -185,6 +185,38 @@ class TestTyposFailBeforeAnyRun:
             call()
 
 
+class TestStaticClusterCount:
+    """A static cluster count the machine cannot run is refused before
+    the processor advances a cycle; other controllers keep the clamp."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_to_advance(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the processor advanced")
+
+        monkeypatch.setattr(ClusteredProcessor, "advance_to", refuse)
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            pytest.param(policy, message, id=policy)
+            for policy, message in (
+                ("static-0", "positive cluster count"),
+                ("static-x", "positive cluster count"),
+                ("static--3", "positive cluster count"),
+                ("static-32", "asks for 32 clusters, but the machine has 16"),
+            )
+        ],
+    )
+    def test_refused_before_any_cycle(self, policy, message):
+        with pytest.raises(ConfigError, match=message):
+            simulate("gzip", trace_length=2_000, reconfig_policy=policy)
+
+    def test_a_count_the_machine_has_runs(self):
+        with pytest.raises(AssertionError, match="advanced"):
+            simulate("gzip", trace_length=2_000, reconfig_policy="static-16")
+
+
 class TestSweepFacade:
     def test_simspec_matrix(self, tmp_path):
         specs = [

@@ -68,10 +68,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "IPC" in out
 
+    @pytest.mark.parametrize(
+        "clusters, message",
+        [
+            pytest.param("32", "asks for 32 clusters, but the machine has 16", id="32"),
+            pytest.param("0", "positive cluster count", id="0"),
+        ],
+    )
+    def test_run_refuses_a_cluster_count_the_machine_lacks(
+        self, capsys, clusters, message
+    ):
+        rc = main(["run", "gzip", "--length", "2000", "--clusters", clusters])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "IPC" not in captured.out
+
     def test_run_monolithic(self, capsys):
         rc = main(["run", "swim", "--length", "4000", "--warmup", "500",
                    "--machine", "monolithic"])
         assert rc == 0
+        # the label names the policy that ran, not the ignored --controller
+        assert "swim on monolithic (none)" in capsys.readouterr().out
 
     def test_exhibit_subset(self, capsys):
         rc = main(["figure3", "--benchmarks", "gzip", "--length", "4000"])

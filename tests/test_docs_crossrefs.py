@@ -115,6 +115,17 @@ RETIRED = [
         "permanent cluster_kill, fu_disable and link_degrade faults on "
         "single-thread runs",
     ),
+    (
+        "machine-model knobs no run set",
+        re.compile(
+            r"\blink_bandwidth\b|\bmodel_contention\b|\bports_per_bank\b"
+            r"|\bcapacity_per_slot\b|\bBankScheduler\b|\bTwoLevelBankPredictor\b"
+            r"|\bbank_predictor_(?:l1_size|l2_size|history_bits)\b"
+        ),
+        "one transfer per link and one access per bank port per cycle "
+        "(SlotReserver); StrideBankPredictor sized by "
+        "MemoryConfig.bank_predictor_entries",
+    ),
 ]
 
 #: docs/<NAME>.md references must resolve against the real docs tree
@@ -244,6 +255,9 @@ def test_lint_catches_retired_spellings():
         "fault kinds no exhibit used": (
             'FaultEvent(cycle=900, kind="cluster_restore", cluster=3)'
         ),
+        "machine-model knobs no run set": (
+            "InterconnectConfig(link_bandwidth=2, model_contention=False)"
+        ),
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"
@@ -253,6 +267,13 @@ def test_lint_catches_retired_spellings():
                     "FaultSchedule.from_json"):
         assert faults.search(retired), retired
     assert not faults.search("stats.links_severed")  # the kept stat
+    [knobs] = [p for name, p, _ in RETIRED if name == "machine-model knobs no run set"]
+    for retired in ("link_bandwidth", "model_contention", "ports_per_bank",
+                    "capacity_per_slot", "BankScheduler", "TwoLevelBankPredictor",
+                    "bank_predictor_l1_size", "bank_predictor_l2_size",
+                    "bank_predictor_history_bits"):
+        assert knobs.search(retired), retired
+    assert not knobs.search("MemoryConfig.bank_predictor_entries")  # the kept knob
 
 
 def test_lint_scans_inline_spans_and_fences(tmp_path):

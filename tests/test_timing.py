@@ -28,17 +28,9 @@ class TestBasics:
         assert r.reserve(0, 100) == 100
         assert r.reserve(0, 10) == 10  # earlier slot still free
 
-    def test_capacity_two(self):
-        r = SlotReserver(1, capacity_per_slot=2)
-        assert r.reserve(0, 5) == 5
-        assert r.reserve(0, 5) == 5
-        assert r.reserve(0, 5) == 6
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SlotReserver(0)
-        with pytest.raises(ValueError):
-            SlotReserver(1, capacity_per_slot=0)
 
 
 class TestProperties:
@@ -55,17 +47,6 @@ class TestProperties:
         r = SlotReserver(1)
         for req in requests:
             assert r.reserve(0, req) >= req
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=60),
-        st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_capacity_respected(self, requests, cap):
-        r = SlotReserver(1, capacity_per_slot=cap)
-        granted = [r.reserve(0, req) for req in requests]
-        for cycle in set(granted):
-            assert granted.count(cycle) <= cap
 
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=40))
     @settings(max_examples=60, deadline=None)
@@ -103,12 +84,11 @@ class TestForgetBefore:
     floor grants what one keeping every booking grants, for any request
     at or above the floor."""
 
-    @pytest.mark.parametrize("capacity", [1, 2])
     @given(steps=_STEPS)
     @settings(max_examples=80, deadline=None)
-    def test_matches_an_unpruned_calendar(self, capacity, steps):
-        pruned = SlotReserver(2, capacity)
-        full = SlotReserver(2, capacity)
+    def test_matches_an_unpruned_calendar(self, steps):
+        pruned = SlotReserver(2)
+        full = SlotReserver(2)
         floor = 0
         for step in steps:
             if step[0] == "forget":
