@@ -84,7 +84,6 @@ _EXPORTS = {
     "partition_report": ".partition",
     "ClusteredProcessor": ".pipeline",
     "simulate_monolithic": ".pipeline",
-    "IntervalRecord": ".stats",
     "IntervalWindow": ".stats",
     "SimStats": ".stats",
     "BENCHMARK_NAMES": ".workloads",

@@ -76,6 +76,3 @@ class FunctionalUnits:
             free[pool] -= 1
             return True
         return False
-
-    def free_units(self, pool: str) -> int:
-        return self._free[_POOL_NAMES.index(pool)]

@@ -23,11 +23,10 @@ from .errors import ConfigError
 # ----------------------------------------------------------------------
 # Environment access.
 #
-# This module (plus repro.faults, which owns the fault-plan channel) is
-# the only place allowed to touch os.environ: ad-hoc environment reads
-# are invisible configuration, and tests/test_config.py fails on them
-# everywhere else.  Callers document their switch with a module
-# constant and read it through these helpers.
+# This module is the only place allowed to touch os.environ: ad-hoc
+# environment reads are invisible configuration, and tests/test_config.py
+# fails on them everywhere else.  Callers document their switch with a
+# module constant and read it through these helpers.
 
 #: values meaning "off" for boolean environment switches
 _FALSE_VALUES = ("", "0", "false", "no", "off")
@@ -66,16 +65,13 @@ def env_float(name: str, default: Optional[float] = None) -> Optional[float]:
 
 
 #: Canonical registry of every environment switch the package reads, in
-#: one place (satellite of issue 8; see docs/SWEEPS.md "Knobs" for the
-#: user-facing table).  Key -> (reader, purpose).
+#: one place (see docs/SWEEPS.md "Knobs" for the user-facing table).
+#: Key -> (reader, purpose).
 ENV_SWITCHES = {
     "REPRO_CACHE_DIR": ("env_text", "sweep result-cache directory"),
     "REPRO_JOBS": ("env_int", "default worker count for default_jobs()"),
     "REPRO_TRACE_SCALE": ("env_float", "multiplies benchmark trace lengths"),
     "REPRO_CHECK_INVARIANTS": ("env_flag", "sampled simulator invariant checks"),
-    "REPRO_FAULT_PLAN": ("env_text", "armed fault-injection plan (JSON)"),
-    "REPRO_HYPOTHESIS_PROFILE": ("env_text", "hypothesis test profile"),
-    "REPRO_REGEN_GOLDEN": ("env_flag", "regenerate golden test fixtures"),
 }
 
 # Execution latencies (cycles), patterned on Simplescalar/Alpha 21264.
@@ -244,9 +240,6 @@ class ProcessorConfig:
     def with_clusters(self, n: int) -> "ProcessorConfig":
         """A copy of this configuration with ``n`` total clusters."""
         return replace(self, num_clusters=n)
-
-    def with_memory(self, memory: MemoryConfig) -> "ProcessorConfig":
-        return replace(self, memory=memory)
 
     def with_interconnect(self, interconnect: InterconnectConfig) -> "ProcessorConfig":
         return replace(self, interconnect=interconnect)

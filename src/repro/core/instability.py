@@ -15,29 +15,23 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..config import ProcessorConfig, default_config
-from ..stats import IntervalRecord, merge_records
+from ..stats import IntervalWindow, merge_records
 from ..workloads.instruction import Trace
 from .controller import IntervalController
 from .phase import PhaseDetectConfig, PhaseReference, compare_to_reference
 
 
 class RecordingController(IntervalController):
-    """Never reconfigures; records an IntervalRecord every ``granularity``
-    committed instructions for offline analysis."""
+    """Never reconfigures; records the :class:`IntervalWindow` of every
+    ``granularity`` committed instructions for offline analysis."""
 
     def __init__(self, granularity: int) -> None:
         super().__init__(granularity)
-        self.records: List[IntervalRecord] = []
+        self.records: List[IntervalWindow] = []
 
-    def on_interval(self, window, cycle: int) -> None:
-        self.records.append(
-            IntervalRecord(
-                committed=window.committed,
-                cycles=window.cycles,
-                branches=window.branches,
-                memrefs=window.memrefs,
-            )
-        )
+    def on_interval(self, window: IntervalWindow, cycle: int) -> None:
+        # each IntervalTracker.since_last() call returns a fresh window
+        self.records.append(window)
 
 
 def record_intervals(
@@ -47,7 +41,7 @@ def record_intervals(
     max_instructions: Optional[int] = None,
     *,
     deadline: Optional[float] = None,
-) -> List[IntervalRecord]:
+) -> List[IntervalWindow]:
     """Simulate ``trace`` once, recording statistics every ``granularity``
     committed instructions.  ``deadline`` is
     :meth:`~repro.pipeline.processor.ClusteredProcessor.run`'s."""
@@ -63,7 +57,7 @@ def record_intervals(
 
 
 def instability_factor(
-    records: Sequence[IntervalRecord],
+    records: Sequence[IntervalWindow],
     detect: PhaseDetectConfig = PhaseDetectConfig(),
 ) -> float:
     """Fraction of intervals flagged unstable (phase-change frequency).
@@ -79,13 +73,12 @@ def instability_factor(
     reference: Optional[PhaseReference] = None
     unstable = 0
     for record in records:
-        window_like = record  # IntervalRecord quacks like IntervalWindow here
         if reference is None:
             reference = PhaseReference(
                 branches=record.branches, memrefs=record.memrefs, ipc=record.ipc
             )
             continue
-        signals = compare_to_reference(window_like, reference, interval_length, detect)
+        signals = compare_to_reference(record, reference, interval_length, detect)
         if signals.counts_changed or signals.ipc:
             unstable += 1
             reference = PhaseReference(
@@ -111,7 +104,7 @@ class InstabilityProfile:
 
 
 def instability_profile(
-    records: Sequence[IntervalRecord],
+    records: Sequence[IntervalWindow],
     granularity: int,
     factors_of: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
     detect: PhaseDetectConfig = PhaseDetectConfig(),

@@ -54,7 +54,3 @@ class SweepInterrupted(ReproError):
     def __init__(self, message: str, completed=()) -> None:
         super().__init__(message)
         self.completed = list(completed)
-
-
-class FaultInjected(ReproError):
-    """An artificial failure raised by the fault-injection harness."""

@@ -63,7 +63,6 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Executor, Future
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .. import faults
 from .._version import __version__
 from ..config import ProcessorConfig, env_int, env_text
 from ..errors import (
@@ -86,7 +85,7 @@ from ..core import (
 from ..multiprog import MultiProgResult, MultiProgSpec, run_multiprog
 from ..multiprog.scheduler import fabric_config, thread_seed
 from ..resilience import FaultSchedule
-from ..stats import IntervalRecord
+from ..stats import IntervalWindow
 from ..workloads.generator import generate_trace
 from ..workloads.profiles import get_profile
 from .journal import SweepJournal
@@ -349,7 +348,7 @@ class RunRecord:
     status: str  # "ok" | "failed" | "timeout" | "poisoned"
     result: Optional[RunResult] = None
     #: interval recording (``record_granularity`` mode) instead of a result
-    records: Optional[List[IntervalRecord]] = None
+    records: Optional[List[IntervalWindow]] = None
     #: per-thread detail of a multiprogrammed run (``result`` then carries
     #: the aggregate: throughput IPC over global cycles, merged stats)
     multiprog_result: Optional[MultiProgResult] = None
@@ -540,9 +539,7 @@ def execute_spec(spec: RunSpec, timeout: Optional[float] = None) -> RunRecord:
     start = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
     try:
-        faults.on_execute(spec)
         record = _run_spec(spec, deadline)
-        faults.poison_record(record)
         _validate_record(record)
         return record
     except RunTimeout:
@@ -618,9 +615,7 @@ class ResultCache:
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
             "sha256": hashlib.sha256(record_bytes).hexdigest(),
-            # fault hook: chaos tests corrupt the payload here to prove the
-            # checksum catches it on the way back in (no-op otherwise)
-            "record": faults.corrupt_cache_payload(record_bytes),
+            "record": record_bytes,
         }
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:

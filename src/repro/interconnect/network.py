@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 
 from ..config import InterconnectConfig
 from ..errors import ConfigError
-from ..faults import scrambled_topology
 from ..stats import SimStats
 from ..timing import SlotReserver
 from .grid import GridTopology, TorusTopology
@@ -39,9 +38,7 @@ def build_topology(config: InterconnectConfig, num_nodes: int) -> Topology:
     cls = _TOPOLOGY_CLASSES.get(config.topology)
     if cls is None:
         raise ConfigError(f"unknown topology {config.topology!r}")
-    # chaos hook: a no-op dict lookup unless a FaultPlan armed
-    # scramble_topology (see repro.faults)
-    return scrambled_topology(cls(num_nodes))
+    return cls(num_nodes)
 
 
 class Network:

@@ -276,6 +276,7 @@ def _co_schedule(
             if processor.cycle > reached:
                 reached = processor.cycle
             if processor.finished:
+                processor.finalize()
                 thread.running = False
                 thread.finished_cycle = processor.cycle
             else:

@@ -24,8 +24,8 @@ cycle/instruction context when one fails:
   directed links: it starts at ``src``, each link's source is the previous
   link's destination (per ``Topology.link_endpoints``), and it ends at
   ``dst``.  This is what catches a miswired torus wrap-around or
-  ring-of-rings hub table; the ``scramble_topology`` fault in
-  :mod:`repro.faults` exists to prove it does.
+  ring-of-rings hub table, as ``TestScrambledTopologyIsCaught`` in
+  ``tests/interconnect/test_route_invariants.py`` proves.
 * **Rate sanity** — ``committed <= issued <= dispatched``, IPC within
   ``(0, commit_width]``, never NaN, and active-cluster accounting within
   ``num_clusters x cycles``.  Under architectural faults

@@ -602,11 +602,17 @@ class ClusteredProcessor:
         limit = max_instructions if max_instructions is not None else len(self.trace)
         limit = min(limit, len(self.trace))
         self.advance_to(limit, deadline)
+        self.finalize()
+        return self.stats
+
+    def finalize(self) -> None:
+        """The end-of-run step: close the fault manager's accounting and
+        run the final invariant check.  :meth:`run` calls it, and so does
+        the multiprog scheduler when a thread finishes."""
         if self._fault_manager is not None:
             self._fault_manager.finalize(self.cycle)
         if self.invariants is not None:
             self.invariants.check()
-        return self.stats
 
     def release(self) -> None:
         """Drop the controller, invariant checker and fault manager, which

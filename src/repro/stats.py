@@ -191,6 +191,9 @@ class IntervalWindow:
 
     The paper's run-time algorithm reads hardware event counters every
     ``interval_length`` committed instructions; this class is that view.
+    The Table 4 instability analysis records one window per interval and
+    replays them offline (the paper gathered these traces at
+    10K-instruction granularity over billions of instructions).
     """
 
     committed: int = 0
@@ -236,42 +239,24 @@ class IntervalTracker:
         return self._stats.committed - self._last_committed
 
 
-@dataclass
-class IntervalRecord:
-    """One interval of a recorded trace of program behaviour.
-
-    Used by the Table 4 instability analysis, which replays per-interval
-    statistics offline (the paper gathered these traces at 10K-instruction
-    granularity over billions of instructions).
-    """
-
-    committed: int
-    cycles: int
-    branches: int
-    memrefs: int
-
-    @property
-    def ipc(self) -> float:
-        return self.committed / self.cycles if self.cycles else 0.0
-
-
-def merge_records(records: List[IntervalRecord], factor: int) -> List[IntervalRecord]:
-    """Coalesce consecutive interval records by ``factor``.
+def merge_records(records: List[IntervalWindow], factor: int) -> List[IntervalWindow]:
+    """Coalesce consecutive interval windows by ``factor``.
 
     Lets a single fine-grained recording be reanalysed at coarser interval
     lengths without rerunning the simulator.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    merged: List[IntervalRecord] = []
+    merged: List[IntervalWindow] = []
     for i in range(0, len(records) - factor + 1, factor):
         chunk = records[i : i + factor]
         merged.append(
-            IntervalRecord(
+            IntervalWindow(
                 committed=sum(r.committed for r in chunk),
                 cycles=sum(r.cycles for r in chunk),
                 branches=sum(r.branches for r in chunk),
                 memrefs=sum(r.memrefs for r in chunk),
+                distant_commits=sum(r.distant_commits for r in chunk),
             )
         )
     return merged

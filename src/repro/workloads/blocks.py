@@ -167,11 +167,6 @@ class LoopBody:
     return_pc: int
     pc_base: int
 
-    @property
-    def num_slots(self) -> int:
-        n = sum(len(s) for s in self.segments)
-        return n + len(self.callee)
-
 
 def build_loop_body(
     params: PhaseParams, pc_base: int, rng: random.Random, data_base: int

@@ -9,12 +9,12 @@ from repro.core.instability import (
     record_intervals,
 )
 from repro.config import default_config
-from repro.stats import IntervalRecord, merge_records
+from repro.stats import IntervalWindow, merge_records
 
 
 def _steady(n=40, committed=1000, cycles=500, branches=100, memrefs=300):
     return [
-        IntervalRecord(committed=committed, cycles=cycles,
+        IntervalWindow(committed=committed, cycles=cycles,
                        branches=branches, memrefs=memrefs)
         for _ in range(n)
     ]
@@ -24,9 +24,9 @@ def _alternating(n=40):
     records = []
     for i in range(n):
         if (i // 4) % 2 == 0:
-            records.append(IntervalRecord(1000, 500, 100, 300))
+            records.append(IntervalWindow(1000, 500, 100, 300))
         else:
-            records.append(IntervalRecord(1000, 900, 220, 150))
+            records.append(IntervalWindow(1000, 900, 220, 150))
     return records
 
 
@@ -42,7 +42,7 @@ class TestInstabilityFactor:
         assert instability_factor([]) == 0.0
 
     def test_single_change_counts_once(self):
-        records = _steady(10) + [IntervalRecord(1000, 900, 250, 100)] + _steady(10)
+        records = _steady(10) + [IntervalWindow(1000, 900, 250, 100)] + _steady(10)
         factor = instability_factor(records)
         # one change in, one change back out
         assert 0 < factor <= 2 / 21
@@ -92,3 +92,6 @@ class TestRecording:
         records = record_intervals(parallel_trace, default_config(8), granularity=500)
         total_branches = sum(r.branches for r in records)
         assert 0 < total_branches <= parallel_trace.branch_count
+        assert 0 <= sum(r.distant_commits for r in records) <= sum(
+            r.committed for r in records
+        )

@@ -11,7 +11,6 @@ import os
 
 import pytest
 
-from repro import faults
 from repro.config import default_config
 from repro.errors import ConfigError
 from repro.experiments.sweep import (
@@ -20,6 +19,8 @@ from repro.experiments.sweep import (
     SweepConfig,
     SweepRunner,
 )
+
+from .injection import crashing
 
 BACKEND_KINDS = ("serial", "process-pool")
 
@@ -61,13 +62,6 @@ def spec_for(profile, clusters=4):
 
 def snapshot(records):
     return [r.result.stats.snapshot() for r in records]
-
-
-@pytest.fixture(autouse=True)
-def no_leftover_plan():
-    faults.clear_fault_plan()
-    yield
-    faults.clear_fault_plan()
 
 
 def config_for(kind, **kw):
@@ -167,21 +161,23 @@ class TestPoolCrashPolicy:
 
     def test_repeat_crasher_quarantined_then_resume_completes(self, tmp_path):
         """A spec that kills every worker it touches is poisoned without
-        sinking its neighbours; after the fault is disarmed, --resume
-        re-attempts only the poisoned spec and converges to all-ok."""
+        sinking its neighbours; resumed with the plain specs, --resume
+        re-attempts only the poisoned spec and converges to all-ok.  The
+        journal recorded the crash spec itself; loading it in the main
+        process gives back the plain spec."""
         journal_path = tmp_path / "sweep.jsonl"
-        faults.set_fault_plan(faults.FaultPlan(crash_profiles=("swim",)))
         runner = SweepRunner(
             config_for("process-pool", retries=0, journal=journal_path)
         )
-        records = runner.run([spec_for(p) for p in ("gzip", "swim", "vpr")])
+        records = runner.run(
+            [spec_for("gzip"), crashing(spec_for("swim")), spec_for("vpr")]
+        )
         by_profile = {r.spec.profile: r for r in records}
         assert by_profile["swim"].status == "poisoned"
         assert "quarantined" in by_profile["swim"].error
         assert by_profile["gzip"].ok and by_profile["vpr"].ok
         assert runner.metrics.poisoned == 1
 
-        faults.clear_fault_plan()
         resumed = SweepRunner(
             config_for("process-pool", retries=0, journal=journal_path,
                        resume=True)

@@ -2,10 +2,13 @@
 
 Every scenario here must end in a *structured* record (or a resumable
 journal) — an unhandled exception out of ``SweepRunner.run`` is a test
-failure by construction.  Faults come from :mod:`repro.faults`; the kill
-test uses a real ``SIGKILL``-ed child process.
+failure by construction.  The tests inject each fault themselves, through
+the helpers in ``tests/experiments/injection.py``; the kill test uses a
+real ``SIGKILL``-ed child process.
 """
 
+import dataclasses
+import json
 import os
 import pickle
 import signal
@@ -16,13 +19,15 @@ import textwrap
 import pytest
 
 import repro
-from repro import faults
 from repro.config import default_config
 from repro.errors import SweepInterrupted
 from repro.experiments.sweep import ControllerSpec, RunSpec, SweepConfig, SweepRunner
 
+from .injection import crashing, fail, inject_into_runs, rot_cache_entries
+
 LEN = 3_000
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+REPO = os.path.dirname(SRC)
 
 
 def spec_for(profile, clusters=4, **kw):
@@ -37,14 +42,6 @@ def spec_for(profile, clusters=4, **kw):
 
 
 FOUR_SPECS = ("gzip", "swim", "vpr", "crafty")
-
-
-@pytest.fixture(autouse=True)
-def no_leftover_plan():
-    """Every test starts and ends with fault injection disarmed."""
-    faults.clear_fault_plan()
-    yield
-    faults.clear_fault_plan()
 
 
 def snapshot(records):
@@ -70,7 +67,10 @@ class TestKillAndResume:
             if done == 2:  # two records journaled, then die mid-sweep
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=sys.argv[2]), progress=hook)
+        runner = SweepRunner(
+            SweepConfig(jobs=1, use_cache=False, journal=sys.argv[2]),
+            progress=hook,
+        )
         runner.run(specs)
         """
     )
@@ -92,7 +92,9 @@ class TestKillAndResume:
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
         assert journal_path.exists()
 
-        resumed = SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True))
+        resumed = SweepRunner(
+            SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True),
+        )
         records = resumed.run(specs)
         assert resumed.metrics.journal_skips == 2
         assert [r.from_journal for r in records] == [True, True, False, False]
@@ -116,14 +118,19 @@ class TestSignalDrain:
             if event["completed"] == 1:
                 os.kill(os.getpid(), signal.SIGINT)
 
-        runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=journal_path), progress=interrupt_after_first)
+        runner = SweepRunner(
+            SweepConfig(jobs=1, use_cache=False, journal=journal_path),
+            progress=interrupt_after_first,
+        )
         with pytest.raises(SweepInterrupted) as excinfo:
             runner.run(specs)
         partial = excinfo.value.completed
         assert 1 <= len(partial) < len(specs)
         assert all(r.ok for r in partial)
 
-        resumed = SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True))
+        resumed = SweepRunner(
+            SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True),
+        )
         records = resumed.run(specs)
         assert resumed.metrics.journal_skips == len(partial)
 
@@ -158,14 +165,19 @@ class TestFaultedSignalDrain:
             if event["completed"] == 1:
                 os.kill(os.getpid(), signum)
 
-        runner = SweepRunner(SweepConfig(jobs=2, use_cache=False, journal=journal_path), progress=interrupt_after_first)
+        runner = SweepRunner(
+            SweepConfig(jobs=2, use_cache=False, journal=journal_path),
+            progress=interrupt_after_first,
+        )
         with pytest.raises(SweepInterrupted) as excinfo:
             runner.run(specs)
         partial = excinfo.value.completed
         assert 1 <= len(partial) < len(specs)
         assert all(r.ok for r in partial)
 
-        resumed = SweepRunner(SweepConfig(jobs=2, use_cache=False, journal=journal_path, resume=True))
+        resumed = SweepRunner(
+            SweepConfig(jobs=2, use_cache=False, journal=journal_path, resume=True),
+        )
         records = resumed.run(specs)
         assert resumed.metrics.journal_skips == len(partial)
 
@@ -182,13 +194,10 @@ class TestWorkerCrash:
         token_dir = tmp_path / "tokens"
         token_dir.mkdir()
         (token_dir / "crash-0").touch()  # budget: exactly one crash
-        faults.set_fault_plan(
-            faults.FaultPlan(
-                crash_profiles=("swim",), crash_token_dir=str(token_dir)
-            )
-        )
+        specs = [spec_for("gzip"), crashing(spec_for("swim"), token_dir),
+                 spec_for("vpr")]
         runner = SweepRunner(SweepConfig(jobs=2, use_cache=False))
-        records = runner.run([spec_for(p) for p in ("gzip", "swim", "vpr")])
+        records = runner.run(specs)
         assert [r.status for r in records] == ["ok", "ok", "ok"]
         assert runner.metrics.pool_respawns >= 1
         assert list(token_dir.iterdir()) == []  # the token was spent
@@ -196,9 +205,10 @@ class TestWorkerCrash:
     def test_repeat_crasher_is_quarantined(self):
         """A spec that kills every worker it touches ends up poisoned, and
         the innocents that shared the pool with it still complete."""
-        faults.set_fault_plan(faults.FaultPlan(crash_profiles=("swim",)))
         runner = SweepRunner(SweepConfig(jobs=2, use_cache=False, retries=0))
-        records = runner.run([spec_for(p) for p in ("gzip", "swim", "vpr")])
+        records = runner.run(
+            [spec_for("gzip"), crashing(spec_for("swim")), spec_for("vpr")]
+        )
         by_profile = {r.spec.profile: r for r in records}
         assert by_profile["swim"].status == "poisoned"
         assert "quarantined" in by_profile["swim"].error
@@ -206,50 +216,123 @@ class TestWorkerCrash:
         assert runner.metrics.poisoned == 1
         assert runner.metrics.pool_respawns >= 2
 
-    def test_crash_in_main_process_degrades_to_failure(self):
-        """jobs=1 runs in-process; the crash fault must refuse to kill the
-        test runner and surface as a structured failure instead."""
-        faults.set_fault_plan(faults.FaultPlan(crash_profiles=("gzip",)))
-        [record] = SweepRunner(SweepConfig(jobs=1, use_cache=False, retries=0)).run(
-            [spec_for("gzip")]
+    CHILD = textwrap.dedent(
+        """
+        import json, multiprocessing, sys
+
+        from repro.config import default_config
+        from repro.experiments.sweep import ControllerSpec, RunSpec, SweepConfig, SweepRunner
+        from tests.experiments.injection import crashing
+
+        multiprocessing.set_start_method("forkserver")
+        specs = [
+            RunSpec(profile=p, trace_length=int(sys.argv[1]),
+                    config=default_config(16),
+                    controller=ControllerSpec.static(4), label="chaos")
+            for p in ("gzip", "swim", "vpr")
+        ]
+        specs[1] = crashing(specs[1])
+        runner = SweepRunner(SweepConfig(jobs=2, use_cache=False, retries=0))
+        records = runner.run(specs)
+        print(json.dumps({
+            "status": {r.spec.profile: r.status for r in records},
+            "poisoned": runner.metrics.poisoned,
+            "respawns": runner.metrics.pool_respawns,
+        }))
+        """
+    )
+
+    def test_repeat_crasher_is_quarantined_under_forkserver(self):
+        """The quarantine holds when pool workers start from a fork server
+        (the Linux default from Python 3.14): each worker imports the
+        crash spec afresh, and it still crashes there."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC, REPO] + [p for p in [env.get("PYTHONPATH")] if p]
         )
-        assert record.status == "failed"
-        assert "FaultInjected" in record.error
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(LEN)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outcome = json.loads(proc.stdout)
+        assert outcome["status"] == {"gzip": "ok", "swim": "poisoned", "vpr": "ok"}
+        assert outcome["poisoned"] == 1
+        assert outcome["respawns"] >= 2
+
+    def test_crash_spec_is_plain_outside_a_worker(self):
+        """Unpickled anywhere but in a pool worker (the main process
+        loading a journal, say) the crash spec is the plain spec, and a
+        serial sweep runs it normally."""
+        spec = crashing(spec_for("gzip"))
+        loaded = pickle.loads(pickle.dumps(spec))
+        assert type(loaded) is RunSpec
+        assert loaded == spec_for("gzip")
+        assert loaded.cache_key() == spec.cache_key()
+        [record] = SweepRunner(SweepConfig(jobs=1, use_cache=False)).run([spec])
+        assert record.ok
 
 
 class TestCacheCorruption:
-    def test_corrupt_write_is_detected_and_recomputed(self, tmp_path):
-        faults.set_fault_plan(faults.FaultPlan(corrupt_cache_writes=True))
+    def test_corrupt_write_is_detected_and_recomputed(self, tmp_path, monkeypatch):
         runner = SweepRunner(SweepConfig(jobs=1, cache_dir=tmp_path))
         [first] = runner.run([spec_for("gzip")])
         assert first.ok
-        assert list(tmp_path.glob("*.pkl"))  # a (corrupt) entry was written
+        rotten = rot_cache_entries(tmp_path)
+        assert len(rotten) == 1
 
-        # the checksum rejects the corrupt entry before unpickling: a miss,
+        # the checksum rejects the rotten entry before unpickling: a miss,
         # an eviction, a recompute — never an exception or a wrong result
+        unpickled = []
+        real_loads = pickle.loads
+        monkeypatch.setattr(
+            pickle, "loads",
+            lambda data, **kw: unpickled.append(data) or real_loads(data, **kw),
+        )
         [second] = runner.run([spec_for("gzip")])
         assert second.ok and not second.from_cache
+        assert rotten[0] not in unpickled
         assert second.result.stats.snapshot() == first.result.stats.snapshot()
         assert runner.metrics.cache_hits == 0
         assert runner.metrics.cache_misses == 2
 
-        # with the fault disarmed the rewritten entry round-trips again
-        faults.clear_fault_plan()
-        runner.run([spec_for("gzip")])
+        # the recomputed entry round-trips
         [hit] = runner.run([spec_for("gzip")])
         assert hit.from_cache
+        assert hit.result.stats == first.result.stats
 
 
 class TestResultPoisoning:
-    def test_nan_ipc_is_caught_by_validation(self):
+    def test_nan_ipc_is_caught_by_validation(self, monkeypatch):
         """A run that *completes* with NaN stats must become a structured
         failure — silent NaN in an exhibit is the worst outcome."""
-        faults.set_fault_plan(faults.FaultPlan(nan_profiles=("gzip",)))
+        inject_into_runs(
+            monkeypatch, "gzip",
+            lambda run: dataclasses.replace(run(), ipc=float("nan")),
+        )
         runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, retries=0))
         records = runner.run([spec_for("gzip"), spec_for("swim")])
         assert records[0].status == "failed"
         assert "IPC" in records[0].error
         assert records[1].ok
+
+
+class TestTransientFailure:
+    def test_retry_recovers_transient_failure(self, monkeypatch):
+        """A fault that fires only on the first attempt models a transient
+        failure: the retry succeeds."""
+        attempts = []
+
+        def fails_once(run):
+            attempts.append(run)
+            return fail(run) if len(attempts) == 1 else run()
+
+        inject_into_runs(monkeypatch, "gzip", fails_once)
+        runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, retries=1))
+        [record] = runner.run([spec_for("gzip")])
+        assert record.ok
+        assert record.attempts == 2
+        assert runner.metrics.retries == 1
 
 
 class TestHang:
@@ -267,72 +350,3 @@ class TestHang:
         assert [r.status for r in records] == ["timeout", "ok"]
         assert "1s timeout" in records[0].error
         assert runner.metrics.timeouts == 1
-
-
-class TestFaultPlanTransport:
-    def test_json_round_trip(self):
-        plan = faults.FaultPlan(
-            crash_profiles=("swim", "vpr"),
-            crash_token_dir="/tmp/tokens",
-            fail_profiles=("gzip",),
-            nan_profiles=("crafty",),
-            corrupt_cache_writes=True,
-        )
-        assert faults.FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_plan_travels_via_environment(self, monkeypatch):
-        plan = faults.FaultPlan(fail_profiles=("gzip",))
-        faults.set_fault_plan(plan)
-        # simulate a worker: no in-process global, only the inherited env
-        monkeypatch.setattr(faults, "_ACTIVE", None)
-        assert faults.active_plan() == plan
-
-    def test_malformed_env_plan_is_ignored(self, monkeypatch):
-        monkeypatch.setattr(faults, "_ACTIVE", None)
-        monkeypatch.setenv(faults.FAULT_PLAN_ENV, "{broken json")
-        assert faults.active_plan() is None
-
-    def test_unknown_key_raises_naming_it(self):
-        with pytest.raises(ValueError, match="'crash_profilez'"):
-            faults.FaultPlan.from_json('{"crash_profilez": ["gzip"]}')
-
-    def test_non_object_payload_raises(self):
-        with pytest.raises(ValueError, match="JSON object"):
-            faults.FaultPlan.from_json('["gzip"]')
-
-    @pytest.mark.parametrize("payload,key", [
-        ('{"crash_profiles": "gzip"}', "crash_profiles"),
-        ('{"crash_profiles": [1, 2]}', "crash_profiles"),
-        ('{"fail_profiles": "gzip"}', "fail_profiles"),
-        ('{"corrupt_cache_writes": 1}', "corrupt_cache_writes"),
-        ('{"scramble_topology": "yes"}', "scramble_topology"),
-        ('{"crash_token_dir": 7}', "crash_token_dir"),
-        ('{"main_pid": "me"}', "main_pid"),
-    ])
-    def test_wrong_typed_field_raises_naming_it(self, payload, key):
-        with pytest.raises(ValueError, match=repr(key)):
-            faults.FaultPlan.from_json(payload)
-
-    def test_wrong_typed_env_plan_degrades_to_no_plan(self, monkeypatch):
-        monkeypatch.setattr(faults, "_ACTIVE", None)
-        monkeypatch.setenv(faults.FAULT_PLAN_ENV, '{"main_pid": "me"}')
-        assert faults.active_plan() is None
-
-    def test_retry_recovers_transient_failure(self, monkeypatch):
-        """A fault that fires only on the first attempt models a transient
-        failure: the retry succeeds."""
-        faults.set_fault_plan(faults.FaultPlan(fail_profiles=("gzip",)))
-        original = faults.on_execute
-        calls = {"n": 0}
-
-        def fails_once(spec):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                original(spec)
-
-        monkeypatch.setattr(faults, "on_execute", fails_once)
-        runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, retries=1))
-        [record] = runner.run([spec_for("gzip")])
-        assert record.ok
-        assert record.attempts == 2
-        assert runner.metrics.retries == 1

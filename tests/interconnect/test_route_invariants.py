@@ -4,8 +4,8 @@ The torus and ring-of-rings bring wraparound links and hub indirection —
 exactly the wiring classes where an off-by-one builds a *plausible* but
 wrong route table.  The positive half walks every route of every
 topology against ``link_endpoints()`` and checks it against a
-breadth-first search of the same links; the negative half arms the
-``scramble_topology`` fault (:mod:`repro.faults`) and proves a full
+breadth-first search of the same links; the negative half miswires
+every fabric built (``tests/experiments/injection.py``) and proves a full
 simulation with invariant checking on reports the corruption as a
 :class:`~repro.errors.SimulationError` instead of committing statistics.
 """
@@ -22,8 +22,10 @@ from repro.interconnect import (
     RingTopology,
     TorusTopology,
     build_topology,
+    network,
 )
-from repro.faults import FaultPlan, clear_fault_plan, set_fault_plan
+
+from tests.experiments.injection import miswire_fabrics
 
 ALL_TOPOLOGIES = ("ring", "grid", "torus", "ring-of-rings")
 
@@ -132,10 +134,8 @@ class TestScrambledTopologyIsCaught:
     """A deliberately miswired fabric must fail loudly, not plausibly."""
 
     @pytest.fixture(autouse=True)
-    def armed_plan(self):
-        set_fault_plan(FaultPlan(scramble_topology=True))
-        yield
-        clear_fault_plan()
+    def miswired(self, monkeypatch):
+        miswire_fabrics(monkeypatch)
 
     @pytest.mark.parametrize("name", ("torus", "ring-of-rings", "grid"))
     def test_invariant_checker_reports_broken_routes(self, name):
@@ -145,6 +145,6 @@ class TestScrambledTopologyIsCaught:
             simulate("gzip", trace_length=2_000, topology=name)
 
     def test_walk_detects_truncation_directly(self):
-        topology = build_topology(InterconnectConfig(topology="torus"), 16)
+        topology = network.build_topology(InterconnectConfig(topology="torus"), 16)
         with pytest.raises(AssertionError):
             walk(topology)

@@ -76,6 +76,29 @@ class TestCleanRunPasses:
         proc.run()
         assert proc.invariants.checks_run > 1
 
+    def test_every_multiprog_thread_gets_the_final_check(self, monkeypatch):
+        """A co-scheduled thread's last check runs once it has finished,
+        at its final cycle, as a single-thread run's does."""
+        from repro.multiprog import MultiProgSpec, run_multiprog
+        from repro.pipeline.invariants import INVARIANTS_ENV, InvariantChecker
+
+        monkeypatch.setenv(INVARIANTS_ENV, "1")
+        last_check = {}
+        real_check = InvariantChecker.check
+
+        def check(checker):
+            p = checker.processor
+            last_check[p.trace.name] = (p.cycle, p.finished)
+            real_check(checker)
+
+        monkeypatch.setattr(InvariantChecker, "check", check)
+        result = run_multiprog(MultiProgSpec(
+            ("gzip", "swim"), trace_length=2_000, topology="grid",
+            arbiter="round-robin",
+        ))
+        for thread in result.threads:
+            assert last_check[thread.workload] == (thread.cycles, True)
+
     def test_checking_is_read_only(self, gzip_trace):
         """Bit-identical stats with checking on and off — the determinism
         guarantee that lets the test suite enable checks globally."""

@@ -256,18 +256,16 @@ class TestFaultReporting:
     ):
         """An exhibit with a hole in its matrix must not render: the CLI
         prints the failure table to stderr and exits 1."""
-        from repro.faults import FAULT_PLAN_ENV, FaultPlan
+        from tests.experiments.injection import fail, inject_into_runs
 
-        monkeypatch.setenv(
-            FAULT_PLAN_ENV, FaultPlan(fail_profiles=("gzip",)).to_json()
-        )
+        inject_into_runs(monkeypatch, "gzip", fail)
         rc = main(["figure3", "--benchmarks", "gzip", "--length", "4000",
                    "--jobs", "1", "--no-cache"])
         assert rc == 1
         captured = capsys.readouterr()
         assert "Figure 3" not in captured.out  # no partial exhibit rendered
         assert "Sweep failures" in captured.err
-        assert "gzip" in captured.err and "FaultInjected" in captured.err
+        assert "gzip" in captured.err and "InjectedFailure" in captured.err
 
     def test_journal_resume_round_trip(self, capsys, tmp_path):
         journal = tmp_path / "figure3.jsonl"

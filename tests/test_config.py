@@ -150,11 +150,33 @@ class TestEnvSwitches:
             assert callable(getattr(config, reader)), reader
             assert purpose
 
+    def test_registry_names_only_switches_src_reads(self):
+        """Each registered switch is a module-level string constant of
+        some module other than config.py, the one that reads it
+        (``CACHE_DIR_ENV``, ``JOBS_ENV``, ``TRACE_SCALE_ENV``,
+        ``INVARIANTS_ENV``), so a switch only the tests read has no row."""
+        import ast
+        import pathlib
+
+        import repro
+        import repro.config as config
+
+        src = pathlib.Path(repro.__file__).parent
+        constants = set()
+        for path in sorted(src.rglob("*.py")):
+            if path.relative_to(src).as_posix() == "config.py":
+                continue
+            for node in ast.parse(path.read_text(), str(path)).body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                    node.value, ast.Constant
+                ):
+                    constants.add(node.value.value)
+        assert sorted(set(config.ENV_SWITCHES) - constants) == []
+
     def test_every_environ_read_goes_through_config(self):
-        """No repro module but config.py (the documented switches) and
-        faults.py (the fault-plan channel) touches the environment, in
-        any spelling: ``os.environ``, ``os.getenv``, ``from os import
-        environ`` or an aliased ``os``."""
+        """No repro module but config.py (the documented switches)
+        touches the environment, in any spelling: ``os.environ``,
+        ``os.getenv``, ``from os import environ`` or an aliased ``os``."""
         import ast
         import pathlib
 
@@ -163,7 +185,7 @@ class TestEnvSwitches:
         src = pathlib.Path(repro.__file__).parent
         offenders = []
         for path in sorted(src.rglob("*.py")):
-            if path.relative_to(src).as_posix() in ("config.py", "faults.py"):
+            if path.relative_to(src).as_posix() == "config.py":
                 continue
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.ImportFrom) and node.module == "os":

@@ -126,6 +126,21 @@ RETIRED = [
         "(SlotReserver); StrideBankPredictor sized by "
         "MemoryConfig.bank_predictor_entries",
     ),
+    (
+        "chaos harness in src",
+        re.compile(
+            r"\brepro\.faults\b|\bfrom repro import faults\b|\bFaultPlan\b"
+            r"|\bset_fault_plan\b|\bREPRO_FAULT_PLAN\b|\bFaultInjected\b"
+            r"|\bscrambled?_topology\b"
+        ),
+        "the chaos tests inject each fault themselves "
+        "(tests/experiments/injection.py)",
+    ),
+    (
+        "second interval type",
+        re.compile(r"\bIntervalRecord\b"),
+        "IntervalWindow, which a recording keeps one of per interval",
+    ),
 ]
 
 #: docs/<NAME>.md references must resolve against the real docs tree
@@ -258,6 +273,10 @@ def test_lint_catches_retired_spellings():
         "machine-model knobs no run set": (
             "InterconnectConfig(link_bandwidth=2, model_contention=False)"
         ),
+        "chaos harness in src": (
+            'faults.set_fault_plan(faults.FaultPlan(crash_profiles=("swim",)))'
+        ),
+        "second interval type": "from repro.stats import IntervalRecord",
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"
@@ -274,6 +293,14 @@ def test_lint_catches_retired_spellings():
                     "bank_predictor_history_bits"):
         assert knobs.search(retired), retired
     assert not knobs.search("MemoryConfig.bank_predictor_entries")  # the kept knob
+    [harness] = [p for name, p, _ in RETIRED if name == "chaos harness in src"]
+    for retired in ("from repro import faults", "import repro.faults", "FaultPlan",
+                    "set_fault_plan", "REPRO_FAULT_PLAN", "FaultInjected",
+                    "scramble_topology", "scrambled_topology"):
+        assert harness.search(retired), retired
+    # the architectural fault model keeps its names
+    assert not harness.search("repro.resilience.FaultSchedule")
+    assert not harness.search("SimSpec(faults=schedule)")
 
 
 def test_lint_scans_inline_spans_and_fences(tmp_path):

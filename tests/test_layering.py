@@ -18,7 +18,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 #: top-level component of ``repro`` -> layer rank
 LAYER_RANKS = {
     "errors": 0, "timing": 0, "_version": 0,
-    "stats": 1, "config": 1, "resilience": 1, "faults": 1, "observability": 1,
+    "stats": 1, "config": 1, "resilience": 1, "observability": 1,
     "workloads": 2, "energy": 2,
     "frontend": 3, "clusters": 3, "interconnect": 3,
     # the decentralized cache routes bank transfers over the cluster network

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.stats import IntervalRecord, IntervalTracker, SimStats, merge_records
+from repro.stats import IntervalTracker, IntervalWindow, SimStats, merge_records
 
 
 class TestSimStats:
@@ -71,11 +71,13 @@ class TestIntervalTracker:
         t = IntervalTracker(s)
         s.committed += 100
         s.cycles += 100
-        t.since_last()
+        first = t.since_last()
         s.committed += 60
         s.cycles += 20
         w = t.since_last()
         assert w.committed == 60 and w.cycles == 20
+        # a recording keeps every window, so none may be reused
+        assert first is not w and first.committed == 100
 
     def test_committed_since_last(self):
         s = SimStats()
@@ -85,14 +87,16 @@ class TestIntervalTracker:
 
 
 class TestIntervalRecord:
+    """A recording keeps one IntervalWindow per interval."""
+
     def test_ipc(self):
-        assert IntervalRecord(100, 50, 1, 2).ipc == 2.0
-        assert IntervalRecord(100, 0, 1, 2).ipc == 0.0
+        assert IntervalWindow(100, 50, 1, 2).ipc == 2.0
+        assert IntervalWindow(100, 0, 1, 2).ipc == 0.0
 
     def test_merge_drops_tail_remainder(self):
-        records = [IntervalRecord(10, 5, 1, 2)] * 7
+        records = [IntervalWindow(10, 5, 1, 2, 3)] * 7
         merged = merge_records(records, 3)
-        assert len(merged) == 2  # 7 // 3
+        assert merged == [IntervalWindow(30, 15, 3, 6, 9)] * 2  # 7 // 3
 
 
 class TestMerge:
