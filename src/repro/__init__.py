@@ -65,25 +65,16 @@ _EXPORTS = {
     "instability_factor": ".core",
     "instability_profile": ".core",
     "record_intervals": ".core",
-    "EnergyModel": ".energy",
-    "compare_energy": ".energy",
-    "leakage_savings": ".energy",
     "ConfigError": ".errors",
     "ReproError": ".errors",
     "SimulationError": ".errors",
     "WorkloadError": ".errors",
     "FaultEvent": ".resilience",
     "FaultSchedule": ".resilience",
-    "JsonlTracer": ".observability",
     "MemoryTracer": ".observability",
     "TraceSession": ".observability",
     "Tracer": ".observability",
-    "ScalingCurve": ".partition",
-    "best_partition": ".partition",
-    "measure_scaling": ".partition",
-    "partition_report": ".partition",
     "ClusteredProcessor": ".pipeline",
-    "simulate_monolithic": ".pipeline",
     "IntervalWindow": ".stats",
     "SimStats": ".stats",
     "BENCHMARK_NAMES": ".workloads",

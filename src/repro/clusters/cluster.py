@@ -75,9 +75,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # capacity checks used by steering
 
-    def _is_fp(self, op: OpClass) -> bool:
-        return _IS_FP[op]
-
     def iq_has_room(self, op: OpClass) -> bool:
         if _IS_FP[op]:
             return self._fp_iq < self._iq_cap

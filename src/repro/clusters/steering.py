@@ -90,9 +90,6 @@ class ProducerSteering(SteeringHeuristic):
         #: (the fused cycle loop walks the same pairs)
         self._walk = tuple((k, self.clusters[k]) for k in self.owned)
 
-    def _least_loaded(self, feasible: List[int]) -> int:
-        return min(feasible, key=lambda k: (self.clusters[k].iq_occupancy, k))
-
     def choose(
         self,
         instr: Instr,

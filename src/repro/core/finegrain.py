@@ -39,8 +39,6 @@ class FineGrainConfig:
     #: no distant commit, so that occupancy does not explain the rescaling;
     #: wrong-path cache pollution and interconnect traffic are not modelled.
     distant_threshold: int = 223
-    #: the paper's unscaled threshold, for reference and experiments
-    paper_distant_threshold: int = 58
     table_entries: int = 16 * 1024
     flush_period: int = 10_000_000
     small_config: int = 4

@@ -1,109 +1,6 @@
 """Experiment harness: runners, figures, tables, reporting, and the
 :data:`EXHIBITS` registry behind ``python -m repro <exhibit>``."""
 
-from .figures import (
-    EXHIBITS,
-    fig_multiprog,
-    fig_resilience,
-    figure3,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    idealized_communication,
-    print_fig_multiprog,
-    print_fig_resilience,
-    print_figure3,
-    print_figure5,
-    print_figure6,
-    print_figure7,
-    print_figure8,
-    print_idealized,
-    print_sensitivity,
-    print_steering_ablation,
-    run_matrix,
-    sensitivity,
-    sensitivity_variants,
-    steering_ablation,
-)
-from .reporting import (
-    format_sweep_metrics,
-    format_table,
-    geomean,
-    harmonic_mean,
-    ipc_table,
-    multiprog_table,
-)
-from .runner import (
-    DEFAULT_TRACE_LENGTH,
-    DEFAULT_WARMUP,
-    RunResult,
-    run_trace,
-    scaled_length,
-    trace_scale,
-)
-from .sweep import (
-    ControllerSpec,
-    ResultCache,
-    RunRecord,
-    RunSpec,
-    SweepMetrics,
-    SweepRunner,
-    default_cache_dir,
-    default_jobs,
-    execute_spec,
-    require_ok,
-)
-from .tables import print_table3, print_table4, table3, table4
+from .figures import EXHIBITS
 
-__all__ = [
-    "EXHIBITS",
-    "ControllerSpec",
-    "DEFAULT_TRACE_LENGTH",
-    "DEFAULT_WARMUP",
-    "ResultCache",
-    "RunRecord",
-    "RunResult",
-    "RunSpec",
-    "SweepMetrics",
-    "SweepRunner",
-    "default_cache_dir",
-    "default_jobs",
-    "execute_spec",
-    "format_sweep_metrics",
-    "require_ok",
-    "fig_multiprog",
-    "fig_resilience",
-    "figure3",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "format_table",
-    "geomean",
-    "harmonic_mean",
-    "idealized_communication",
-    "ipc_table",
-    "multiprog_table",
-    "print_fig_multiprog",
-    "print_fig_resilience",
-    "print_figure3",
-    "print_figure5",
-    "print_figure6",
-    "print_figure7",
-    "print_figure8",
-    "print_idealized",
-    "print_sensitivity",
-    "print_steering_ablation",
-    "print_table3",
-    "print_table4",
-    "run_matrix",
-    "run_trace",
-    "scaled_length",
-    "sensitivity",
-    "sensitivity_variants",
-    "steering_ablation",
-    "table3",
-    "table4",
-    "trace_scale",
-]
+__all__ = ["EXHIBITS"]

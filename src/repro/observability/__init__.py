@@ -10,8 +10,7 @@ This package adds an opt-in window into *why* a controller did what it did:
   untraced run pays one attribute check per interval boundary and nothing
   per committed instruction.  Tracing is strictly read-only: a traced run
   is bit-identical to an untraced one.
-* :class:`MemoryTracer` / :class:`JsonlTracer` — in-memory and streaming
-  JSONL sinks.
+* :class:`MemoryTracer` — in-memory sink.
 * :class:`TraceSession` — directory sink: collects events, then writes
   ``events.jsonl``, ``timeline.csv``, and ``trace.json`` (Chrome
   trace-event format, loadable in Perfetto / ``chrome://tracing``).
@@ -40,7 +39,6 @@ from .exporters import (
 )
 from .tracer import (
     NULL_TRACER,
-    JsonlTracer,
     MemoryTracer,
     Tracer,
     TraceSession,
@@ -49,7 +47,6 @@ from .tracer import (
 __all__ = [
     "BASE_FIELDS",
     "EVENT_FIELDS",
-    "JsonlTracer",
     "MemoryTracer",
     "NULL_TRACER",
     "TraceSession",

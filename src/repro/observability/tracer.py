@@ -1,4 +1,4 @@
-"""Tracer sinks: no-op, in-memory, streaming JSONL, and directory session.
+"""Tracer sinks: no-op, in-memory, and directory session.
 
 The contract every emission site relies on:
 
@@ -17,10 +17,9 @@ The contract every emission site relies on:
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-from typing import Dict, List, Optional, TextIO, Union
+from typing import Dict, List, Union
 
 from .exporters import write_chrome_trace, write_jsonl, write_timeline_csv
 
@@ -60,39 +59,6 @@ class MemoryTracer(Tracer):
         event: Dict[str, object] = {"kind": kind}
         event.update(fields)
         self.events.append(event)
-
-
-class JsonlTracer(Tracer):
-    """Streams events to a JSONL file, one compact JSON object per line.
-
-    Suits runs too long to buffer in memory; the file is valid after every
-    line, so a killed run still leaves a readable prefix.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        path: Union[str, os.PathLike],
-        sample_period: int = DEFAULT_SAMPLE_PERIOD,
-    ) -> None:
-        self.sample_period = max(0, int(sample_period))
-        self.path = pathlib.Path(path)
-        self._fh: Optional[TextIO] = open(self.path, "w", encoding="utf-8")
-
-    def emit(self, kind: str, **fields: object) -> None:
-        fh = self._fh
-        if fh is None:
-            raise ValueError(f"JsonlTracer({self.path}) is closed")
-        event: Dict[str, object] = {"kind": kind}
-        event.update(fields)
-        fh.write(json.dumps(event, separators=(", ", ": ")))
-        fh.write("\n")
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 class TraceSession(MemoryTracer):

@@ -1,13 +1,10 @@
-"""The out-of-order pipeline: ROB, clustered processor, monolithic baseline."""
+"""The out-of-order pipeline: ROB and the clustered processor."""
 
-from .monolithic import simulate_monolithic
-from .processor import ClusteredProcessor, simulate
+from .processor import ClusteredProcessor
 from .rob import InFlight, ReorderBuffer
 
 __all__ = [
     "ClusteredProcessor",
     "InFlight",
     "ReorderBuffer",
-    "simulate",
-    "simulate_monolithic",
 ]

@@ -621,25 +621,3 @@ class ClusteredProcessor:
         results are read, in a ``finally`` so a run that raises is freed
         too; the processor must not advance afterwards."""
         self.controller = self.invariants = self._fault_manager = None
-
-
-def simulate(
-    trace: Trace,
-    config: ProcessorConfig,
-    *,
-    controller: Optional[object] = None,
-    max_instructions: Optional[int] = None,
-    steering: Optional[SteeringHeuristic] = None,
-) -> SimStats:
-    """Convenience wrapper: build a processor, run it, return statistics.
-
-    This is the engine-level entry point; prefer :func:`repro.api.simulate`
-    for the stable facade.  ``controller``/``max_instructions``/``steering``
-    are keyword-only (the unified vocabulary); the pre-facade positional
-    spelling was removed after its deprecation cycle.
-    """
-    processor = ClusteredProcessor(trace, config, controller, steering)
-    try:
-        return processor.run(max_instructions)
-    finally:
-        processor.release()

@@ -157,13 +157,17 @@ class TestRunnerIntegration:
         # first attempt completes only the first two specs
         first = SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=journal_path))
         first.run(specs[:2])
-        resumed = SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True))
+        resumed = SweepRunner(
+            SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True)
+        )
         records = resumed.run(specs)
         assert [r.status for r in records] == ["ok", "ok", "ok"]
         assert [r.from_journal for r in records] == [True, True, False]
         assert resumed.metrics.journal_skips == 2
         # the third run was appended, so a further resume skips all three
-        third = SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True))
+        third = SweepRunner(
+            SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True)
+        )
         third.run(specs)
         assert third.metrics.journal_skips == 3
 
@@ -172,7 +176,9 @@ class TestRunnerIntegration:
         spec = spec_for("gzip")
         journal = SweepJournal(journal_path)
         journal.append(RunRecord(spec=spec, status="failed", error="transient"))
-        runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True))
+        runner = SweepRunner(
+            SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True)
+        )
         [record] = runner.run([spec])
         assert record.ok and not record.from_journal
         assert runner.metrics.journal_skips == 0
@@ -184,7 +190,9 @@ class TestRunnerIntegration:
         base = spec_for("gzip")
         SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=journal_path)).run([base])
         other = dataclasses.replace(base, label="another-exhibit")
-        runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True))
+        runner = SweepRunner(
+            SweepConfig(jobs=1, use_cache=False, journal=journal_path, resume=True)
+        )
         [record] = runner.run([other])
         assert record.from_journal
         assert record.result.label == "another-exhibit"

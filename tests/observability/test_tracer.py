@@ -4,10 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro import ClusteredProcessor, default_config
+from repro import ClusteredProcessor
 from repro.observability import (
     NULL_TRACER,
-    JsonlTracer,
     MemoryTracer,
     Tracer,
     TraceSession,
@@ -95,24 +94,6 @@ class TestMemoryTracer:
         assert len(reconfigs) == stats.reconfigurations
         for event in reconfigs:
             assert event["before"] != event["after"]
-
-
-class TestJsonlTracer:
-    def test_streams_and_round_trips(self, gzip_trace, config16, tmp_path):
-        path = tmp_path / "events.jsonl"
-        tracer = JsonlTracer(path, sample_period=500)
-        run(gzip_trace, config16, tracer=tracer, policy="explore")
-        tracer.close()
-        memory = MemoryTracer(sample_period=500)
-        run(gzip_trace, config16, tracer=memory, policy="explore")
-        assert read_jsonl(path) == memory.events
-
-    def test_emit_after_close_raises(self, tmp_path):
-        tracer = JsonlTracer(tmp_path / "t.jsonl")
-        tracer.close()
-        tracer.close()  # idempotent
-        with pytest.raises(ValueError):
-            tracer.emit("sample", cycle=0, committed=0)
 
 
 class TestTraceSession:

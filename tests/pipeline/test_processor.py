@@ -2,41 +2,40 @@
 
 import pytest
 
-from repro.config import decentralized_config, default_config
+from repro.config import decentralized_config, default_config, monolithic_config
 from repro.core import StaticController
 from repro.errors import SimulationError
-from repro.pipeline.processor import ClusteredProcessor, simulate
-from repro.pipeline.monolithic import simulate_monolithic
+from repro.pipeline.processor import ClusteredProcessor
 from repro.workloads.instruction import Instr, OpClass, Trace
 
 
 class TestCompletion:
     def test_all_instructions_commit(self, parallel_trace, config16):
-        stats = simulate(parallel_trace, config16)
+        stats = ClusteredProcessor(parallel_trace, config16).run()
         assert stats.committed == len(parallel_trace)
 
     def test_serial_trace_completes(self, serial_trace, config16):
-        stats = simulate(serial_trace, config16)
+        stats = ClusteredProcessor(serial_trace, config16).run()
         assert stats.committed == len(serial_trace)
 
     def test_decentralized_completes(self, parallel_trace):
-        stats = simulate(parallel_trace, decentralized_config(16))
+        stats = ClusteredProcessor(parallel_trace, decentralized_config(16)).run()
         assert stats.committed == len(parallel_trace)
 
     def test_max_instructions_honoured(self, parallel_trace, config16):
-        stats = simulate(parallel_trace, config16, max_instructions=1000)
+        stats = ClusteredProcessor(parallel_trace, config16).run(1000)
         assert 1000 <= stats.committed <= 1000 + 16  # commit-width slack
 
     def test_empty_iterations_guard(self):
         trace = Trace("tiny", [Instr(0, 0, OpClass.INT_ALU)])
-        stats = simulate(trace, default_config(2))
+        stats = ClusteredProcessor(trace, default_config(2)).run()
         assert stats.committed == 1
 
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, serial_trace, config16):
-        a = simulate(serial_trace, config16)
-        b = simulate(serial_trace, config16)
+        a = ClusteredProcessor(serial_trace, config16).run()
+        b = ClusteredProcessor(serial_trace, config16).run()
         assert a.cycles == b.cycles
         assert a.committed == b.committed
         assert a.mispredicts == b.mispredicts
@@ -46,44 +45,44 @@ class TestDeterminism:
 class TestOrderings:
     def test_monolithic_beats_clustered(self, parallel_trace):
         """Zero-communication monolithic is an upper bound (same window)."""
-        mono = simulate_monolithic(parallel_trace)
-        clustered = simulate(parallel_trace, default_config(16))
+        mono = ClusteredProcessor(parallel_trace, monolithic_config()).run()
+        clustered = ClusteredProcessor(parallel_trace, default_config(16)).run()
         assert mono.ipc > clustered.ipc
 
     def test_parallel_code_scales_with_clusters(self, parallel_trace, config16):
-        few = simulate(parallel_trace, config16, controller=StaticController(2))
-        many = simulate(parallel_trace, config16, controller=StaticController(16))
+        few = ClusteredProcessor(parallel_trace, config16, StaticController(2)).run()
+        many = ClusteredProcessor(parallel_trace, config16, StaticController(16)).run()
         assert many.ipc > few.ipc * 1.1
 
     def test_serial_code_prefers_few_clusters(self, serial_trace, config16):
-        few = simulate(serial_trace, config16, controller=StaticController(4))
-        many = simulate(serial_trace, config16, controller=StaticController(16))
+        few = ClusteredProcessor(serial_trace, config16, StaticController(4)).run()
+        many = ClusteredProcessor(serial_trace, config16, StaticController(16)).run()
         assert few.ipc >= many.ipc * 0.95  # at best marginal gains from 16
 
 
 class TestAccounting:
     def test_cycle_and_commit_counters(self, parallel_trace, config16):
-        stats = simulate(parallel_trace, config16)
+        stats = ClusteredProcessor(parallel_trace, config16).run()
         assert stats.cycles > 0
         assert stats.dispatched == stats.committed
         assert stats.issued == stats.committed
 
     def test_branch_and_memref_counts_match_trace(self, parallel_trace, config16):
-        stats = simulate(parallel_trace, config16)
+        stats = ClusteredProcessor(parallel_trace, config16).run()
         assert stats.branches == parallel_trace.branch_count
         assert stats.memrefs == parallel_trace.memref_count
 
     def test_distant_commits_present_for_parallel_code(self, parallel_trace, config16):
-        stats = simulate(parallel_trace, config16)
+        stats = ClusteredProcessor(parallel_trace, config16).run()
         assert stats.distant_commits > 0
 
     def test_distant_commits_rare_for_serial_code(self, serial_trace, parallel_trace, config16):
-        s = simulate(serial_trace, config16)
-        p = simulate(parallel_trace, config16)
+        s = ClusteredProcessor(serial_trace, config16).run()
+        p = ClusteredProcessor(parallel_trace, config16).run()
         assert s.distant_commits / len(serial_trace) < p.distant_commits / len(parallel_trace)
 
     def test_cluster_cycle_product(self, parallel_trace, config16):
-        stats = simulate(parallel_trace, config16, controller=StaticController(4))
+        stats = ClusteredProcessor(parallel_trace, config16, StaticController(4)).run()
         assert stats.avg_active_clusters <= 4.01
 
 
@@ -136,7 +135,7 @@ class TestControllerHooks:
             def on_commit(self, instr, cycle, distant):
                 calls.append(instr.index)
 
-        simulate(parallel_trace, config16, controller=Probe(8))
+        ClusteredProcessor(parallel_trace, config16, Probe(8)).run()
         assert len(calls) == len(parallel_trace)
         assert calls == sorted(calls)  # in-order commit
 
@@ -149,7 +148,7 @@ class TestControllerHooks:
             def on_dispatch(self, instr, cycle):
                 seen.append(instr.index)
 
-        simulate(parallel_trace, config16, controller=Probe(8))
+        ClusteredProcessor(parallel_trace, config16, Probe(8)).run()
         assert len(seen) == len(parallel_trace)
 
 

@@ -8,13 +8,11 @@ import pytest
 
 from repro.api import SimResult, SimSpec, simulate, sweep
 from repro.config import default_config
-from repro.core import StaticController
 from repro.errors import ConfigError
 from repro.experiments.runner import run_trace
 from repro.experiments.sweep import ControllerSpec
 from repro.multiprog import MultiProgSpec
 from repro.pipeline.processor import ClusteredProcessor
-from repro.pipeline.processor import simulate as engine_simulate
 from repro.workloads import BENCHMARK_NAMES
 
 from .specs import SIM_SPEC
@@ -62,7 +60,7 @@ class TestSimulateFacade:
     def test_matches_engine_run(self, parallel_trace, config16):
         """The facade is a veneer: same trace, same machine, same stats."""
         facade = simulate(parallel_trace, processor=config16)
-        engine = engine_simulate(parallel_trace, config16)
+        engine = ClusteredProcessor(parallel_trace, config16).run()
         assert facade.stats == engine
 
 
@@ -239,17 +237,13 @@ class TestSweepFacade:
 
 
 class TestRetiredSpellings:
-    """The three pre-facade positional spellings completed their
-    deprecation cycle and are gone: the signatures are keyword-only now,
-    so a reintroduced ``*args`` shim fails these tests."""
+    """The pre-facade positional spellings completed their deprecation
+    cycle and are gone: both entry points are keyword-only now, so a
+    reintroduced ``*args`` shim fails these tests."""
 
     def test_facade_positional_config_rejected(self, parallel_trace, config16):
         with pytest.raises(TypeError):
             simulate(parallel_trace, config16)
-
-    def test_engine_positional_controller_rejected(self, parallel_trace, config16):
-        with pytest.raises(TypeError):
-            engine_simulate(parallel_trace, config16, StaticController(4))
 
     def test_run_trace_positional_warmup_rejected(self, parallel_trace, config16):
         with pytest.raises(TypeError):
@@ -261,8 +255,6 @@ class TestRetiredSpellings:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             simulate(parallel_trace, processor=config16)
-            engine_simulate(parallel_trace, config16,
-                            controller=StaticController(4))
             run_trace(parallel_trace, config16, warmup=1_000)
 
 
@@ -272,31 +264,29 @@ class TestMaxInstructionsContract:
     ``commit_width - 1`` (see ``ClusteredProcessor.run``)."""
 
     def test_none_runs_whole_trace(self, parallel_trace, config16):
-        stats = engine_simulate(parallel_trace, config16)
+        stats = ClusteredProcessor(parallel_trace, config16).run()
         assert stats.committed == len(parallel_trace)
 
     @pytest.mark.parametrize("limit", [1, 17, 1_000])
     def test_overshoot_bounded_by_commit_width(self, parallel_trace, config16, limit):
-        stats = engine_simulate(parallel_trace, config16, max_instructions=limit)
+        stats = ClusteredProcessor(parallel_trace, config16).run(limit)
         width = config16.front_end.commit_width
         assert limit <= stats.committed <= limit + width - 1
 
     def test_committed_count_pinned(self, parallel_trace, config16):
         """The exact committed count is deterministic — pin it so any change
         to the bounding behaviour (e.g. stopping mid-cycle) is caught."""
-        a = engine_simulate(parallel_trace, config16, max_instructions=1_000)
-        b = engine_simulate(parallel_trace, config16, max_instructions=1_000)
+        a = ClusteredProcessor(parallel_trace, config16).run(1_000)
+        b = ClusteredProcessor(parallel_trace, config16).run(1_000)
         assert a.committed == b.committed
         # and the bound is commit-cycle aligned: re-running the same machine
         # to the overshoot count commits exactly that many
-        c = engine_simulate(
-            parallel_trace, config16, max_instructions=a.committed
-        )
+        c = ClusteredProcessor(parallel_trace, config16).run(a.committed)
         assert c.committed == a.committed
 
     def test_limit_beyond_trace_is_clamped(self, parallel_trace, config16):
-        stats = engine_simulate(
-            parallel_trace, config16, max_instructions=10 * len(parallel_trace)
+        stats = ClusteredProcessor(parallel_trace, config16).run(
+            10 * len(parallel_trace)
         )
         assert stats.committed == len(parallel_trace)
 

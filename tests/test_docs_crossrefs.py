@@ -141,6 +141,17 @@ RETIRED = [
         re.compile(r"\bIntervalRecord\b"),
         "IntervalWindow, which a recording keeps one of per interval",
     ),
+    (
+        "analysis modules and run wrappers no exhibit ran",
+        re.compile(
+            r"\brepro[./](?:partition|energy)\b|\bmeasure_scaling\b|\bbest_partition\b"
+            r"|\bpartition_report\b|\bScalingCurve\b|\bEnergyModel\b|\bcompare_energy\b"
+            r"|\bleakage_savings\b|\bsimulate_monolithic\b|\bpipeline[./]monolithic\b"
+            r"|\bJsonlTracer\b"
+        ),
+        'simulate(trace, topology="monolithic"); Figure 5\'s clusters disabled; '
+        "fig_multiprog's static split; TraceSession writes events.jsonl",
+    ),
 ]
 
 #: docs/<NAME>.md references must resolve against the real docs tree
@@ -277,6 +288,9 @@ def test_lint_catches_retired_spellings():
             'faults.set_fault_plan(faults.FaultPlan(crash_profiles=("swim",)))'
         ),
         "second interval type": "from repro.stats import IntervalRecord",
+        "analysis modules and run wrappers no exhibit ran": (
+            "from repro.partition import best_partition, measure_scaling"
+        ),
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"
@@ -301,6 +315,17 @@ def test_lint_catches_retired_spellings():
     # the architectural fault model keeps its names
     assert not harness.search("repro.resilience.FaultSchedule")
     assert not harness.search("SimSpec(faults=schedule)")
+    [analysis] = [p for name, p, _ in RETIRED
+                  if name == "analysis modules and run wrappers no exhibit ran"]
+    for retired in ("repro.partition", "repro.energy", "measure_scaling",
+                    "best_partition", "partition_report", "ScalingCurve",
+                    "EnergyModel", "compare_energy", "leakage_savings",
+                    "simulate_monolithic", "pipeline.monolithic", "JsonlTracer"):
+        assert analysis.search(retired), retired
+    # the facade's monolithic machine and the static split keep their names
+    for kept in ('simulate(trace, topology="monolithic")', "monolithic_config()",
+                 "repro.api.simulate", "arbiter=\"static\""):
+        assert not analysis.search(kept), kept
 
 
 def test_lint_scans_inline_spans_and_fences(tmp_path):

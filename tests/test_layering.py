@@ -19,14 +19,14 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 LAYER_RANKS = {
     "errors": 0, "timing": 0, "_version": 0,
     "stats": 1, "config": 1, "resilience": 1, "observability": 1,
-    "workloads": 2, "energy": 2,
+    "workloads": 2,
     "frontend": 3, "clusters": 3, "interconnect": 3,
     # the decentralized cache routes bank transfers over the cluster network
     "memory": 4,
     "pipeline": 5,
     "core": 6, "multiprog": 6,
     "experiments": 7,
-    "api": 8, "partition": 8,
+    "api": 8,
     "cli": 9,
 }
 ROOT = ("__init__", "__main__")

@@ -1,7 +1,5 @@
 """Property-based tests on the core data structures and the simulator."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +10,7 @@ from repro.interconnect.grid import GridTopology
 from repro.interconnect.ring import RingTopology
 from repro.memory.cache import SetAssocCache
 from repro.config import CacheConfig
-from repro.pipeline.processor import simulate
+from repro.pipeline.processor import ClusteredProcessor
 from repro.workloads.blocks import PhaseParams
 from repro.workloads.generator import Profile, generate_trace
 
@@ -123,6 +121,6 @@ class TestSimulatorProperties:
         trace = generate_trace(
             Profile(name="h", phases=(phase,), schedule="steady"), 1_500, seed=seed
         )
-        stats = simulate(trace, default_config(4))
+        stats = ClusteredProcessor(trace, default_config(4)).run()
         assert stats.committed == len(trace)
         assert 0 < stats.ipc < 16
