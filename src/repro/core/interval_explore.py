@@ -251,13 +251,12 @@ class IntervalExploreController(IntervalController):
             if signals.counts_changed:
                 self._phase_change(cycle, signals)
                 return
-            self._explored[self.processor.active_clusters] = window.ipc
+            # key by the requested count: after a cluster kill the physical
+            # window (active_clusters) is wider than the request
+            clusters = self._candidates[self._explore_pos]
+            self._explored[clusters] = window.ipc
             if self.tracer.enabled:
-                self._trace(
-                    "explore_sample",
-                    clusters=self.processor.active_clusters,
-                    ipc=window.ipc,
-                )
+                self._trace("explore_sample", clusters=clusters, ipc=window.ipc)
             self._explore_pos += 1
             if self._explore_pos >= len(self._candidates):
                 self._finish_exploration(cycle)

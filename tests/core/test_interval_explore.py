@@ -1,6 +1,9 @@
 """Figure 4 algorithm: exploration, phase detection, interval doubling."""
 
+from repro import simulate
 from repro.core.interval_explore import ExploreConfig, IntervalExploreController
+from repro.observability import MemoryTracer
+from repro.resilience import FaultEvent, FaultSchedule
 
 from .fakes import FakeProcessor, feed_interval
 
@@ -131,3 +134,25 @@ class TestScaledConfig:
         assert cfg.candidates == (2, 4, 8, 16)
         assert cfg.ipc_variation_threshold == 5.0  # THRESH1
         assert cfg.instability_threshold == 5.0  # THRESH2
+
+
+class TestUnderFaults:
+    def test_samples_keyed_by_requested_count_after_a_kill(self):
+        # with cluster 3 dead, a request for 4 (or 8) live clusters widens
+        # the physical window to 5 (or 9); the samples and the decision
+        # must still name the candidate counts the controller asked for
+        tracer = MemoryTracer()
+        simulate(
+            "swim",
+            trace_length=6_000,
+            reconfig_policy="explore",
+            faults=FaultSchedule(
+                (FaultEvent(cycle=200, kind="cluster_kill", cluster=3),)
+            ),
+            trace=tracer,
+        )
+        samples = [e["clusters"] for e in tracer.events if e["kind"] == "explore_sample"]
+        [decision] = [e for e in tracer.events if e["kind"] == "explore_decision"]
+        assert samples == [2, 4, 8, 16]
+        assert [count for count, _ in decision["explored"]] == [2, 4, 8, 16]
+        assert decision["chosen"] in (2, 4, 8, 16)
