@@ -73,19 +73,7 @@ class Cluster:
         self.wake_cycle = 0
 
     # ------------------------------------------------------------------
-    # capacity checks used by steering
-
-    def iq_has_room(self, op: OpClass) -> bool:
-        if _IS_FP[op]:
-            return self._fp_iq < self._iq_cap
-        return self._int_iq < self._iq_cap
-
-    def reg_available(self, op: OpClass, needs_reg: bool) -> bool:
-        if not needs_reg:
-            return True
-        if _IS_FP[op]:
-            return self._fp_regs < self._rf_cap
-        return self._int_regs < self._rf_cap
+    # capacity check used by steering
 
     def can_accept(self, op: OpClass, needs_reg: bool) -> bool:
         if _IS_FP[op]:

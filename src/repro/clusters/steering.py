@@ -149,22 +149,6 @@ class ProducerSteering(SteeringHeuristic):
                 # tie: trust the criticality predictor's operand choice
                 crit = self.criticality.predict_critical_operand(instr.pc)
                 candidate = c1 if pos1 == crit and pos0 != crit else c0
-        elif n_usable:  # >2 producers: callers outside the pipeline
-            counts: dict = {}
-            for _, c in usable:
-                counts[c] = counts.get(c, 0) + 1
-            best = max(counts.values())
-            top = [c for c, n in counts.items() if n == best]
-            if len(top) == 1:
-                candidate = top[0]
-            else:
-                crit = self.criticality.predict_critical_operand(instr.pc)
-                for pos, c in usable:
-                    if pos == crit and c in top:
-                        candidate = c
-                        break
-                if candidate is None:
-                    candidate = top[0]
 
         # 3. load-imbalance override / no-producer fallback (first-seen
         # wins on occupancy ties, i.e. the lowest feasible cluster id)

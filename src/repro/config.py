@@ -211,14 +211,6 @@ class ProcessorConfig:
     interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
     #: cluster that hosts the centralized LSQ/cache, the L2, and the front end
     home_cluster: int = 0
-    #: sampled runtime invariant checking (ROB ordering, occupancy caps,
-    #: message conservation, IPC bounds): True/False, or None = consult the
-    #: ``REPRO_CHECK_INVARIANTS`` environment variable (tests turn it on).
-    #: Excluded from repr/eq so it never perturbs cache keys or config
-    #: comparisons — checking is observation, not configuration.
-    check_invariants: Optional[bool] = field(default=None, repr=False, compare=False)
-    #: cycles between sampled invariant checks
-    invariant_sample_period: int = field(default=64, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_clusters < 1:
@@ -231,15 +223,6 @@ class ProcessorConfig:
             )
         if self.home_cluster >= self.num_clusters:
             raise ConfigError("home_cluster must name an existing cluster")
-
-    @property
-    def max_inflight(self) -> int:
-        """Upper bound on in-flight instructions with all clusters active."""
-        return min(self.rob_size, self.num_clusters * self.cluster.regfile_size * 2)
-
-    def with_clusters(self, n: int) -> "ProcessorConfig":
-        """A copy of this configuration with ``n`` total clusters."""
-        return replace(self, num_clusters=n)
 
     def with_interconnect(self, interconnect: InterconnectConfig) -> "ProcessorConfig":
         return replace(self, interconnect=interconnect)

@@ -486,7 +486,7 @@ def fig_multiprog(
     fabric, measured in the same sweep batch), ``throughput_ipc``,
     ``harmonic_mean_ipc``, ``arb_grants``, and ``arb_reclaims``.
     """
-    from ..multiprog import MultiProgSpec, arbiter_names, thread_seed
+    from ..multiprog import ARBITERS, MultiProgSpec, thread_seed
     from ..multiprog.spec import DEFAULT_TRACE_LENGTH
     from .sweep import multiprog_run_spec
 
@@ -499,7 +499,7 @@ def fig_multiprog(
             f"{','.join(mix)}"
         )
     fabrics = tuple(fabrics)
-    arbiters = arbiter_names()
+    arbiters = sorted(ARBITERS)
     runner = runner or serial_runner()
     length = trace_length if trace_length is not None else scaled_length(DEFAULT_TRACE_LENGTH)
 
@@ -730,10 +730,10 @@ def print_fig_resilience(
 def print_fig_multiprog(
     results: Mapping[Tuple[str, ...], Mapping[str, Mapping[str, Mapping[str, float]]]],
 ) -> str:
-    from ..multiprog import arbiter_names
+    from ..multiprog import ARBITERS
 
     [(benchmarks, table)] = results.items()
-    arbiters = [a for a in arbiter_names() if a in table]
+    arbiters = [a for a in sorted(ARBITERS) if a in table]
     fabrics: List[str] = []
     for arbiter in arbiters:
         for fabric in table[arbiter]:

@@ -14,14 +14,6 @@ def geomean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean (the fairness-leaning aggregate for multiprog IPC)."""
-    values = list(values)
-    if not values or any(v <= 0 for v in values):
-        return 0.0
-    return len(values) / sum(1.0 / v for v in values)
-
-
 def multiprog_table(
     metrics: Mapping[str, Mapping[str, float]],
     fabric_order: Sequence[str],

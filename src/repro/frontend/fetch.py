@@ -37,16 +37,13 @@ class FetchUnit:
         trace: Trace,
         config: FrontEndConfig,
         stats: SimStats,
-        predictor: Optional[CombiningPredictor] = None,
-        btb: Optional[BranchTargetBuffer] = None,
-        ras: Optional[ReturnAddressStack] = None,
     ) -> None:
         self.trace = trace
         self.config = config
         self.stats = stats
-        self.predictor = predictor or CombiningPredictor.from_config(config)
-        self.btb = btb or BranchTargetBuffer(config.btb_sets, config.btb_assoc)
-        self.ras = ras or ReturnAddressStack(config.ras_size)
+        self.predictor = CombiningPredictor.from_config(config)
+        self.btb = BranchTargetBuffer(config.btb_sets, config.btb_assoc)
+        self.ras = ReturnAddressStack(config.ras_size)
 
         self._pos = 0
         # the raw instruction list, hoisted out of the per-cycle fetch loop

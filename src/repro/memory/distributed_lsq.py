@@ -12,7 +12,7 @@ paper does).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..errors import SimulationError
 from .lsq import MemAccess
@@ -46,11 +46,8 @@ class DistributedLSQ:
     def can_allocate_load(self, cluster: int) -> bool:
         return self._occupancy[cluster] < self.capacity
 
-    def can_allocate_store(self, banks) -> bool:
-        """``banks`` is the dispatch-eligible bank clusters: an iterable of
-        cluster ids, or an int meaning the healthy prefix ``range(n)``."""
-        if isinstance(banks, int):
-            banks = range(banks)
+    def can_allocate_store(self, banks: Sequence[int]) -> bool:
+        """``banks`` is the dispatch-eligible bank cluster ids."""
         occupancy = self._occupancy
         return all(occupancy[k] < self.capacity for k in banks)
 
@@ -70,10 +67,8 @@ class DistributedLSQ:
         self._occupancy[access.cluster] += 1
         self._held[access.index] = [access.cluster]
 
-    def allocate_store(self, access: MemAccess, banks) -> None:
-        """Occupy a dummy slot in every bank's slice (int = ``range(n)``)."""
-        if isinstance(banks, int):
-            banks = range(banks)
+    def allocate_store(self, access: MemAccess, banks: Sequence[int]) -> None:
+        """Occupy a dummy slot in every bank's slice."""
         held = list(banks)
         if not self.can_allocate_store(held):
             raise SimulationError("distributed LSQ store allocate on full slice")

@@ -1,17 +1,13 @@
 """Cluster-allocation arbiters: who gets which clusters, and when.
 
-An arbiter sees only :class:`ThreadView` snapshots and the free-cluster
-list; it returns a list of ``("grant" | "reclaim", thread, cluster)``
-actions that the scheduler validates against the
-:class:`~repro.multiprog.ledger.ClusterLedger` (so a buggy arbiter raises
-instead of silently corrupting the run).  All choice functions are
-deterministic with explicit id tie-breaks — a multiprog run is a pure
-function of its spec, exactly like a single-threaded run.
-
-Registration (:func:`register_arbiter`) is by name; the conformance suite
-in ``tests/multiprog/`` parametrizes over :data:`ARBITERS`, so a new
-arbiter is automatically subjected to the conservation, no-double-grant,
-and determinism properties before it can land.
+Three fixed policies, keyed by name in :data:`ARBITERS`.  Each hands out
+the initial partition; the two dynamic ones also see :class:`ThreadView`
+snapshots and the free-cluster list at every epoch boundary and return a
+list of ``("grant" | "reclaim", thread, cluster)`` actions, which the
+scheduler applies to the :class:`~repro.multiprog.ledger.ClusterLedger`.
+All choice functions are deterministic with explicit id tie-breaks — a
+multiprog run is a pure function of its spec, exactly like a
+single-threaded run.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Type
 
-from ..errors import ConfigError
 from ..interconnect.topology import Topology
 
 #: one arbiter decision: ("grant" | "reclaim", thread index, cluster id)
@@ -34,35 +29,29 @@ class ThreadView:
     finished: bool
     #: owned clusters, ascending id order
     owned: Tuple[int, ...]
-    #: instructions committed since the run started
-    committed: int
-    #: instructions committed during the just-ended epoch
-    epoch_committed: int
 
 
-class Arbiter:
-    """Base class: equal contiguous initial partition, no rebalancing."""
+class StaticArbiter:
+    """Fixed equal partition for the whole run.
 
-    #: registry key; subclasses must override
-    name = ""
+    Never reclaims — a finished thread's clusters idle until the end,
+    which is exactly the throughput loss the dynamic arbiters exist to
+    recover.  The multiprog baseline.
+    """
 
     def __init__(
         self, num_clusters: int, num_threads: int, topology: Topology
     ) -> None:
-        if num_threads < 1 or num_threads > num_clusters:
-            raise ConfigError(
-                f"{num_threads} threads cannot share {num_clusters} clusters"
-            )
         self.num_clusters = num_clusters
         self.num_threads = num_threads
         self.topology = topology
 
     def initial_allocation(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-thread cluster sets at cycle 0 (must cover every cluster).
+        """Per-thread cluster sets at cycle 0 (covering every cluster).
 
-        The default is equal contiguous id blocks, remainders to the
-        lowest-indexed threads — contiguous ids are physically adjacent
-        on the ring and row-adjacent on the grid/torus.
+        Equal contiguous id blocks, remainders to the lowest-indexed
+        threads — contiguous ids are physically adjacent on the ring and
+        row-adjacent on the grid/torus.
         """
         share, extra = divmod(self.num_clusters, self.num_threads)
         blocks: List[Tuple[int, ...]] = []
@@ -73,87 +62,8 @@ class Arbiter:
             start += size
         return tuple(blocks)
 
-    def rebalance(
-        self,
-        views: Sequence[ThreadView],
-        free: Tuple[int, ...],
-        cycle: int,
-    ) -> List[Action]:
-        """Actions to apply at this epoch boundary (default: none)."""
-        return []
 
-
-#: arbiter name -> class; populated by :func:`register_arbiter`
-ARBITERS: Dict[str, Type[Arbiter]] = {}
-
-
-def register_arbiter(cls: Type[Arbiter]) -> Type[Arbiter]:
-    """Class decorator adding ``cls`` to the :data:`ARBITERS` registry."""
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must define a non-empty name")
-    if cls.name in ARBITERS:
-        raise ValueError(f"duplicate arbiter name {cls.name!r}")
-    ARBITERS[cls.name] = cls
-    return cls
-
-
-def arbiter_names() -> Tuple[str, ...]:
-    """Registered arbiter names, sorted for deterministic iteration."""
-    return tuple(sorted(ARBITERS))
-
-
-def build_arbiter(
-    name: str, num_clusters: int, num_threads: int, topology: Topology
-) -> Arbiter:
-    cls = ARBITERS.get(name)
-    if cls is None:
-        raise ConfigError(
-            f"unknown arbiter {name!r}; choose from {arbiter_names()}"
-        )
-    return cls(num_clusters, num_threads, topology)
-
-
-def _grant_free(
-    free: Tuple[int, ...],
-    unfinished: List[ThreadView],
-    choose_cluster,
-) -> Tuple[List[Action], Dict[int, List[int]]]:
-    """Grant every free cluster to the currently poorest unfinished thread.
-
-    ``choose_cluster(candidates, owned)`` picks which free cluster the
-    recipient receives.  Returns the actions plus the tentative post-grant
-    ownership (needed so consecutive grants see each other).
-    """
-    actions: List[Action] = []
-    tentative: Dict[int, List[int]] = {
-        view.index: list(view.owned) for view in unfinished
-    }
-    remaining = list(free)
-    while remaining:
-        recipient = min(
-            unfinished, key=lambda v: (len(tentative[v.index]), v.index)
-        )
-        cluster = choose_cluster(remaining, tentative[recipient.index])
-        remaining.remove(cluster)
-        tentative[recipient.index].append(cluster)
-        actions.append(("grant", recipient.index, cluster))
-    return actions, tentative
-
-
-@register_arbiter
-class StaticArbiter(Arbiter):
-    """Fixed equal partition for the whole run.
-
-    Never reclaims — a finished thread's clusters idle until the end,
-    which is exactly the throughput loss the dynamic arbiters exist to
-    recover.  The multiprog baseline.
-    """
-
-    name = "static"
-
-
-@register_arbiter
-class RoundRobinArbiter(Arbiter):
+class RoundRobinArbiter(StaticArbiter):
     """Epoch-based reclaim that equalizes cluster counts.
 
     Each epoch it (1) grants every free cluster, lowest id first, to the
@@ -164,41 +74,44 @@ class RoundRobinArbiter(Arbiter):
     drain pipeline stays short).
     """
 
-    name = "round-robin"
-
     def rebalance(
-        self,
-        views: Sequence[ThreadView],
-        free: Tuple[int, ...],
-        cycle: int,
+        self, views: Sequence[ThreadView], free: Tuple[int, ...]
     ) -> List[Action]:
+        """Actions to apply at this epoch boundary."""
         unfinished = [v for v in views if not v.finished]
         if not unfinished:
             return []
-        actions, tentative = _grant_free(
-            free, unfinished, lambda candidates, owned: min(candidates)
-        )
+        actions: List[Action] = []
+        # post-grant ownership, so consecutive grants see each other
+        owned: Dict[int, List[int]] = {v.index: list(v.owned) for v in unfinished}
+        remaining = list(free)
+        while remaining:
+            recipient = min(unfinished, key=lambda v: (len(owned[v.index]), v.index))
+            cluster = self._grant_choice(remaining, owned[recipient.index])
+            remaining.remove(cluster)
+            owned[recipient.index].append(cluster)
+            actions.append(("grant", recipient.index, cluster))
         for view in views:
             if view.finished:
-                for cluster in view.owned:
-                    actions.append(("reclaim", view.index, cluster))
-        if len(unfinished) > 1:
-            richest = max(
-                unfinished, key=lambda v: (len(tentative[v.index]), -v.index)
+                actions.extend(("reclaim", view.index, c) for c in view.owned)
+        richest = max(unfinished, key=lambda v: (len(owned[v.index]), -v.index))
+        fewest = min(len(owned[v.index]) for v in unfinished)
+        if len(owned[richest.index]) - fewest > 1 and len(richest.owned) > 1:
+            actions.append(
+                ("reclaim", richest.index, self._reclaim_choice(richest.owned))
             )
-            poorest = min(
-                unfinished, key=lambda v: (len(tentative[v.index]), v.index)
-            )
-            spread = len(tentative[richest.index]) - len(
-                tentative[poorest.index]
-            )
-            if spread > 1 and len(richest.owned) > 1:
-                actions.append(("reclaim", richest.index, richest.owned[-1]))
         return actions
 
+    def _grant_choice(self, free: Sequence[int], owned: Sequence[int]) -> int:
+        """The free cluster a grant hands out: the lowest id."""
+        return min(free)
 
-@register_arbiter
-class CommAwareArbiter(Arbiter):
+    def _reclaim_choice(self, owned: Tuple[int, ...]) -> int:
+        """The cluster a rebalancing reclaim takes: the highest id."""
+        return owned[-1]
+
+
+class CommAwareArbiter(RoundRobinArbiter):
     """Round-robin's trigger policy with communication-aware choices.
 
     Cluster *selection* minimizes intra-thread hop distance on the actual
@@ -207,22 +120,27 @@ class CommAwareArbiter(Arbiter):
     from a seed by nearest-free cluster; a grant gives the recipient the
     free cluster closest to its current set; a rebalancing reclaim peels
     the donor's most *remote* cluster, preserving the compact core.  On
-    the hierarchical ring this keeps threads inside their local rings,
-    off the contended hub ring.
+    the ring-of-rings this keeps a thread's clusters inside as few local
+    rings as it can, so fewer of its own routes cross a hub.
     """
-
-    name = "comm-aware"
 
     def _distance(self, cluster: int, owned: Sequence[int]) -> int:
         """Total hops between ``cluster`` and a thread's owned set."""
         hops = self.topology.hops
         return sum(hops(cluster, other) for other in owned)
 
-    def _closest(self, candidates: Sequence[int], owned: Sequence[int]) -> int:
-        """The candidate nearest ``owned`` (ties: lowest id)."""
-        return min(
-            candidates,
-            key=lambda cluster: (self._distance(cluster, owned), cluster),
+    def _grant_choice(self, free: Sequence[int], owned: Sequence[int]) -> int:
+        """The free cluster nearest ``owned`` (ties: lowest id)."""
+        return min(free, key=lambda cluster: (self._distance(cluster, owned), cluster))
+
+    def _reclaim_choice(self, owned: Tuple[int, ...]) -> int:
+        """The cluster farthest from the rest of ``owned`` (ties: highest id)."""
+        return max(
+            owned,
+            key=lambda cluster: (
+                self._distance(cluster, [c for c in owned if c != cluster]),
+                cluster,
+            ),
         )
 
     def initial_allocation(self) -> Tuple[Tuple[int, ...], ...]:
@@ -233,53 +151,16 @@ class CommAwareArbiter(Arbiter):
             size = share + (1 if thread < extra else 0)
             grown = [unallocated.pop(0)]  # seed: lowest unallocated id
             while len(grown) < size:
-                nxt = self._closest(unallocated, grown)
+                nxt = self._grant_choice(unallocated, grown)
                 unallocated.remove(nxt)
                 grown.append(nxt)
             blocks.append(tuple(sorted(grown)))
         return tuple(blocks)
 
-    def rebalance(
-        self,
-        views: Sequence[ThreadView],
-        free: Tuple[int, ...],
-        cycle: int,
-    ) -> List[Action]:
-        unfinished = [v for v in views if not v.finished]
-        if not unfinished:
-            return []
-        actions, tentative = _grant_free(
-            free,
-            unfinished,
-            lambda candidates, owned: (
-                self._closest(candidates, owned) if owned else min(candidates)
-            ),
-        )
-        for view in views:
-            if view.finished:
-                for cluster in view.owned:
-                    actions.append(("reclaim", view.index, cluster))
-        if len(unfinished) > 1:
-            richest = max(
-                unfinished, key=lambda v: (len(tentative[v.index]), -v.index)
-            )
-            poorest = min(
-                unfinished, key=lambda v: (len(tentative[v.index]), v.index)
-            )
-            spread = len(tentative[richest.index]) - len(
-                tentative[poorest.index]
-            )
-            if spread > 1 and len(richest.owned) > 1:
-                # peel the cluster farthest from the rest of the set
-                victim = max(
-                    richest.owned,
-                    key=lambda cluster: (
-                        self._distance(
-                            cluster,
-                            [c for c in richest.owned if c != cluster],
-                        ),
-                        cluster,
-                    ),
-                )
-                actions.append(("reclaim", richest.index, victim))
-        return actions
+
+#: arbiter name -> class; ``sorted(ARBITERS)`` is the exhibit row order
+ARBITERS: Dict[str, Type[StaticArbiter]] = {
+    "static": StaticArbiter,
+    "round-robin": RoundRobinArbiter,
+    "comm-aware": CommAwareArbiter,
+}

@@ -1,20 +1,13 @@
 """The cluster-ownership ledger: who may dispatch where, and since when.
 
-Every physical cluster is in exactly one of three states at any cycle:
+A cluster is owned by one thread (exclusive dispatch rights), draining
+(recently reclaimed: in-flight instructions finish naturally, but the
+cluster is not grantable until ``drain_cycles`` have elapsed, the
+multiprog analogue of the paper's reconfiguration drain), or free.
 
-``OWNED``
-    One thread holds exclusive dispatch rights.
-``DRAINING``
-    Recently reclaimed; in-flight instructions finish naturally, but the
-    cluster is not grantable until ``drain_cycles`` have elapsed (the
-    multiprog analogue of the paper's reconfiguration drain).
-``FREE``
-    Grantable to any thread.
-
-The ledger *enforces* the conservation invariants the conformance suite
-checks: granting a non-free cluster or reclaiming someone else's cluster
-raises :class:`~repro.errors.SimulationError` immediately, with enough
-context to identify the misbehaving arbiter.
+Granting a non-free cluster or reclaiming someone else's cluster raises
+:class:`~repro.errors.SimulationError` immediately, with the cycle, the
+cluster and both threads in the message.
 """
 
 from __future__ import annotations
@@ -22,11 +15,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..errors import SimulationError
-
-#: state names, as reported by :meth:`ClusterLedger.state`
-OWNED = "owned"
-DRAINING = "draining"
-FREE = "free"
 
 
 class ClusterLedger:
@@ -44,19 +32,6 @@ class ClusterLedger:
             raise SimulationError(
                 f"cluster {cluster} out of range [0, {self.num_clusters})"
             )
-
-    def owner(self, cluster: int) -> Optional[int]:
-        """The owning thread index, or None when free/draining."""
-        self._check_cluster(cluster)
-        return self._owner[cluster]
-
-    def state(self, cluster: int, cycle: int) -> str:
-        self._check_cluster(cluster)
-        if self._owner[cluster] is not None:
-            return OWNED
-        if cycle < self._drain_until[cluster]:
-            return DRAINING
-        return FREE
 
     def grant(self, cluster: int, thread: int, cycle: int) -> None:
         """Give ``thread`` exclusive dispatch rights to ``cluster``."""
@@ -105,29 +80,3 @@ class ClusterLedger:
             if self._owner[cluster] is None
             and cycle >= self._drain_until[cluster]
         )
-
-    def draining_clusters(self, cycle: int) -> Tuple[int, ...]:
-        return tuple(
-            cluster
-            for cluster in range(self.num_clusters)
-            if self._owner[cluster] is None
-            and cycle < self._drain_until[cluster]
-        )
-
-    def check_conservation(self, cycle: int) -> None:
-        """Every cluster in exactly one state; raises on violation.
-
-        The three state counts are computed independently from the same
-        arrays, so this holds by construction — the check exists so the
-        conformance suite (and the scheduler's own sampling) can assert
-        it *after arbitrary arbiter action sequences*.
-        """
-        owned = sum(1 for holder in self._owner if holder is not None)
-        free = len(self.free_clusters(cycle))
-        draining = len(self.draining_clusters(cycle))
-        if owned + free + draining != self.num_clusters:
-            raise SimulationError(
-                f"cluster conservation violated at cycle {cycle}: "
-                f"{owned} owned + {free} free + {draining} draining != "
-                f"{self.num_clusters}"
-            )

@@ -34,7 +34,7 @@ Modelling notes (see ``docs/MULTIPROG.md``):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..clusters.steering import ProducerSteering
@@ -47,7 +47,7 @@ from ..stats import SimStats
 from ..workloads.generator import generate_trace
 from ..workloads.instruction import Trace
 from ..workloads.profiles import get_profile
-from .arbiters import Arbiter, ThreadView, build_arbiter
+from .arbiters import ARBITERS, RoundRobinArbiter, StaticArbiter, ThreadView
 from .ledger import ClusterLedger
 from .spec import MultiProgResult, MultiProgSpec, ThreadResult
 
@@ -74,81 +74,47 @@ class _Thread:
     workload: str
     processor: ClusteredProcessor
     steering: ProducerSteering
-    epoch_committed_base: int = 0
-    finished_cycle: Optional[int] = None
-    running: bool = field(default=True)
+    running: bool = True
 
 
 def _arbitrate(
     spec: MultiProgSpec,
-    arbiter: Arbiter,
+    arbiter: RoundRobinArbiter,
     ledger: ClusterLedger,
     threads: List[_Thread],
     cycle: int,
     tracer: Tracer,
 ) -> None:
-    """One epoch boundary: snapshot views, apply the arbiter's actions."""
-    views = []
-    total_committed = 0
-    for thread in threads:
-        committed = thread.processor.stats.committed
-        total_committed += committed
-        views.append(
-            ThreadView(
-                index=thread.index,
-                finished=not thread.running,
-                owned=ledger.owned_by(thread.index),
-                committed=committed,
-                epoch_committed=committed - thread.epoch_committed_base,
-            )
-        )
-        thread.epoch_committed_base = committed
-    actions = arbiter.rebalance(views, ledger.free_clusters(cycle), cycle)
-    for action, thread_index, cluster in actions:
-        if not 0 <= thread_index < len(threads):
-            raise SimulationError(
-                f"arbiter {arbiter.name!r} named unknown thread "
-                f"{thread_index}"
-            )
-        thread = threads[thread_index]
+    """One epoch boundary: apply a dynamic arbiter's actions."""
+    views = [
+        ThreadView(t.index, not t.running, ledger.owned_by(t.index))
+        for t in threads
+    ]
+    committed = sum(t.processor.stats.committed for t in threads)
+    for action, index, cluster in arbiter.rebalance(views, ledger.free_clusters(cycle)):
+        thread = threads[index]
         if action == "grant":
-            ledger.grant(cluster, thread_index, cycle)
+            ledger.grant(cluster, index, cycle)
             thread.processor.stats.arb_grants += 1
-            if tracer.enabled:
-                tracer.emit(
-                    "arb_grant",
-                    cycle=cycle,
-                    committed=total_committed,
-                    thread=thread_index,
-                    cluster=cluster,
-                    arbiter=arbiter.name,
-                    owned=len(ledger.owned_by(thread_index)),
-                )
-        elif action == "reclaim":
-            if thread.running and len(ledger.owned_by(thread_index)) <= 1:
+        else:
+            if thread.running and len(ledger.owned_by(index)) <= 1:
                 raise SimulationError(
-                    f"arbiter {arbiter.name!r} would starve unfinished "
-                    f"thread {thread_index} (reclaim of its last cluster "
+                    f"arbiter {spec.arbiter!r} would starve unfinished "
+                    f"thread {index} (reclaim of its last cluster "
                     f"{cluster} at cycle {cycle})"
                 )
-            ledger.reclaim(cluster, thread_index, cycle, spec.drain_cycles)
+            ledger.reclaim(cluster, index, cycle, spec.drain_cycles)
             thread.processor.stats.arb_reclaims += 1
-            if tracer.enabled:
-                tracer.emit(
-                    "arb_reclaim",
-                    cycle=cycle,
-                    committed=total_committed,
-                    thread=thread_index,
-                    cluster=cluster,
-                    arbiter=arbiter.name,
-                    owned=len(ledger.owned_by(thread_index)),
-                )
-        else:
-            raise SimulationError(
-                f"arbiter {arbiter.name!r} returned unknown action "
-                f"{action!r}"
+        if tracer.enabled:
+            tracer.emit(
+                f"arb_{action}",
+                cycle=cycle,
+                committed=committed,
+                thread=index,
+                cluster=cluster,
+                arbiter=spec.arbiter,
+                owned=len(ledger.owned_by(index)),
             )
-    ledger.check_conservation(cycle)
     for thread in threads:
         thread.steering.set_owned(ledger.owned_by(thread.index))
 
@@ -176,9 +142,7 @@ def run_multiprog(
     tracer = tracer if tracer is not None else NULL_TRACER
     config = fabric_config(spec)
     topology = build_topology(config.interconnect, config.num_clusters)
-    arbiter = build_arbiter(
-        spec.arbiter, spec.clusters, len(spec.workloads), topology
-    )
+    arbiter = ARBITERS[spec.arbiter](spec.clusters, len(spec.workloads), topology)
 
     threads: List[_Thread] = []
     try:
@@ -219,7 +183,7 @@ def run_multiprog(
 
 def _co_schedule(
     spec: MultiProgSpec,
-    arbiter: Arbiter,
+    arbiter: StaticArbiter,
     threads: List[_Thread],
     tracer: Tracer,
     deadline: Optional[float],
@@ -227,21 +191,9 @@ def _co_schedule(
     """Run ``threads`` to completion; returns the final global cycle."""
     ledger = ClusterLedger(spec.clusters)
     total_instructions = sum(len(t.processor.trace) for t in threads)
-    allocation = arbiter.initial_allocation()
-    if len(allocation) != len(threads):
-        raise SimulationError(
-            f"arbiter {arbiter.name!r} allocated {len(allocation)} blocks "
-            f"for {len(threads)} threads"
-        )
-    for index, block in enumerate(allocation):
-        if not block:
-            raise SimulationError(
-                f"arbiter {arbiter.name!r} left thread {index} with no "
-                f"initial clusters"
-            )
+    for index, block in enumerate(arbiter.initial_allocation()):
         for cluster in block:
             ledger.grant(cluster, index, 0)
-    ledger.check_conservation(0)
     for thread in threads:
         thread.steering.set_owned(ledger.owned_by(thread.index))
 
@@ -278,12 +230,13 @@ def _co_schedule(
             if processor.finished:
                 processor.finalize()
                 thread.running = False
-                thread.finished_cycle = processor.cycle
             else:
                 still_running.append(thread)
         cycle = reached
         running = still_running
-        if running and cycle % epoch == 0:
+        # the static partition never changes, so only the dynamic
+        # arbiters are consulted at epoch boundaries
+        if running and cycle % epoch == 0 and isinstance(arbiter, RoundRobinArbiter):
             _arbitrate(spec, arbiter, ledger, threads, cycle, tracer)
         if cycle > cycle_limit:
             alive = [t.index for t in running]

@@ -127,8 +127,8 @@ class FusedCore:
     """The fused cycle loop of one processor.
 
     Every processor built without ``naive_issue`` owns one and drives
-    ``step()``/``run()``/``advance()`` through it; steering overrides may
-    be installed at any time before an :meth:`advance` call.  The core
+    ``run()``/``advance()`` through it; steering overrides may be
+    installed at any time before an :meth:`advance` call.  The core
     holds no reference back to its processor (each call is handed it), so
     a finished run is freed by reference counting alone.
     """
@@ -270,7 +270,7 @@ class FusedCore:
             if cycle >= bound:
                 return False
 
-            # -- cycle open (step() preamble) --------------------------
+            # -- cycle open (_step_stages preamble) -------------------
             cycle += 1
             p.cycle = cycle
             stats.cycles = cycle
@@ -427,7 +427,6 @@ class FusedCore:
                             # ---- _do_issue, transcribed ----
                             instr = rec.instr
                             rec.issued = True
-                            rec.issue_cycle = cycle
                             stats.issued += 1
                             cluster.on_issue(rec, instr.op)
                             if instr.index - head_index >= threshold:

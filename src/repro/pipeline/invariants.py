@@ -3,8 +3,8 @@
 The :class:`~repro.errors.SimulationError` class existed from the start,
 but almost nothing enforced it — a corrupted pipeline would happily commit
 garbage statistics into the paper exhibits.  :class:`InvariantChecker`
-closes that gap: every ``invariant_sample_period`` cycles (and once at the
-end of the run) it verifies the structural invariants the simulator's
+closes that gap: every :data:`SAMPLE_PERIOD` cycles (and once at the end
+of the run) it verifies the structural invariants the simulator's
 correctness argument rests on, and raises :class:`SimulationError` with
 cycle/instruction context when one fails:
 
@@ -39,9 +39,8 @@ the one route walk per run covers faulted runs too.
 
 Checking is pure observation: it reads state, never mutates it, so a run
 with checking on is bit-identical to the same run with checking off.
-Enable per-config via ``ProcessorConfig.check_invariants`` or globally via
-the ``REPRO_CHECK_INVARIANTS`` environment variable (the test suite sets
-it); the default is off so production sweeps pay nothing.
+The ``REPRO_CHECK_INVARIANTS`` environment variable turns it on (the test
+suite sets it); the default is off so production sweeps pay nothing.
 """
 
 from __future__ import annotations
@@ -49,22 +48,16 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ..config import env_flag
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..config import ProcessorConfig
     from .processor import ClusteredProcessor
 
-#: environment toggle consulted when ``config.check_invariants`` is None
+#: environment switch: a processor built while it is set gets a checker
 INVARIANTS_ENV = "REPRO_CHECK_INVARIANTS"
 
-
-def invariants_enabled(config: "ProcessorConfig") -> bool:
-    """Resolve the three-state toggle: config wins, then the environment."""
-    if config.check_invariants is not None:
-        return config.check_invariants
-    return env_flag(INVARIANTS_ENV)
+#: cycles between sampled checks, read when a checker is built
+SAMPLE_PERIOD = 64
 
 
 class InvariantChecker:
@@ -72,7 +65,7 @@ class InvariantChecker:
 
     def __init__(self, processor: "ClusteredProcessor") -> None:
         self.processor = processor
-        self.period = max(1, processor.config.invariant_sample_period)
+        self.period = max(1, SAMPLE_PERIOD)
         self._next_check = self.period
         self.checks_run = 0
         self._topology_checked = False

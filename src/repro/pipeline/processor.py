@@ -16,11 +16,11 @@ there is no per-cycle polling of the memory system or the interconnect.
 
 Two loops implement that cycle.  The production loop is
 :class:`~repro.pipeline.fused.FusedCore`, which transcribes the stages
-inline, selects event-driven, and skips idle cycles; ``step()``,
-``run()`` and ``advance()`` drive it.  The stage methods below are the
-reference implementation: a processor built with ``naive_issue=True``
-runs them one cycle at a time instead, with a select that scans every
-cluster every cycle, as the equivalence oracle for the fused loop.
+inline, selects event-driven, and skips idle cycles; ``run()`` and
+``advance()`` drive it.  The stage methods below are the reference
+implementation: a processor built with ``naive_issue=True`` runs them one
+cycle at a time instead, with a select that scans every cluster every
+cycle, as the equivalence oracle for the fused loop.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..clusters.cluster import Cluster
 from ..clusters.criticality import CriticalityPredictor
-from ..clusters.steering import ProducerSteering, SteeringHeuristic
-from ..config import ProcessorConfig
+from ..clusters.steering import ProducerSteering
+from ..config import ProcessorConfig, env_flag
 from ..errors import RunTimeout, SimulationError
 from ..frontend.fetch import FetchUnit
 from ..interconnect.network import Network
@@ -41,7 +41,7 @@ from ..resilience.manager import FaultManager
 from ..stats import SimStats
 from ..workloads.instruction import Instr, OpClass, Trace
 from .fused import _EXEC_LAT, _NEVER, _PRUNE_EVERY, FusedCore
-from .invariants import InvariantChecker, invariants_enabled
+from .invariants import INVARIANTS_ENV, InvariantChecker
 from .rob import InFlight, ReorderBuffer
 
 #: safety multiplier: a run may not take more than this many cycles per
@@ -60,7 +60,6 @@ class ClusteredProcessor:
         trace: Trace,
         config: ProcessorConfig,
         controller: Optional[object] = None,
-        steering: Optional[SteeringHeuristic] = None,
         *,
         naive_issue: bool = False,
         tracer: Optional[Tracer] = None,
@@ -74,7 +73,7 @@ class ClusteredProcessor:
         self.fetch_unit = FetchUnit(trace, config.front_end, self.stats)
         self.clusters = [Cluster(k, config.cluster) for k in range(config.num_clusters)]
         self.criticality = CriticalityPredictor()
-        self.steering = steering or ProducerSteering(self.clusters, self.criticality)
+        self.steering = ProducerSteering(self.clusters, self.criticality)
         self.rob = ReorderBuffer(config.rob_size)
 
         self.cycle = 0
@@ -131,7 +130,7 @@ class ClusteredProcessor:
 
         #: sampled structural checks (read-only, so results are identical
         #: with checking on or off); see :mod:`repro.pipeline.invariants`
-        self.invariants = InvariantChecker(self) if invariants_enabled(config) else None
+        self.invariants = InvariantChecker(self) if env_flag(INVARIANTS_ENV) else None
 
         #: architectural fault injection (see :mod:`repro.resilience`):
         #: polled with a single integer compare per cycle, so a run with
@@ -356,7 +355,6 @@ class ClusteredProcessor:
         cycle = self.cycle
         instr = rec.instr
         rec.issued = True
-        rec.issue_cycle = cycle
         self.stats.issued += 1
         cluster.on_issue(rec, instr.op)
         if instr.index - head_index >= threshold:
@@ -555,10 +553,6 @@ class ClusteredProcessor:
         ):
             if time.monotonic() > deadline:
                 raise RunTimeout(f"deadline passed at cycle {self.cycle}")
-
-    def step(self) -> None:
-        """Advance one cycle (a no-op once the run has finished)."""
-        self.advance(until_cycle=self.cycle + 1)
 
     def _emit_sample(self) -> None:
         """Periodic timeline sample: IPC over the window, occupancy."""

@@ -21,7 +21,6 @@ class InFlight:
         "unknown_ops",
         "ready_time",
         "issued",
-        "issue_cycle",
         "finish_cycle",
         "addr_done",
         "remote_ready",
@@ -42,7 +41,6 @@ class InFlight:
         self.unknown_ops = 0
         self.ready_time = 0
         self.issued = False
-        self.issue_cycle = -1
         #: cycle the result is available in the producing cluster
         self.finish_cycle: Optional[int] = None
         #: stores: cycle the address computation finished

@@ -179,11 +179,6 @@ class RunResult:
     reconfigurations: int
     stats: SimStats
 
-    def speedup_over(self, other: "RunResult") -> float:
-        if other.ipc == 0:
-            return float("inf")
-        return self.ipc / other.ipc
-
 
 @dataclass
 class IntervalWindow:
@@ -234,9 +229,6 @@ class IntervalTracker:
         self._last_memrefs = s.memrefs
         self._last_distant = s.distant_commits
         return window
-
-    def committed_since_last(self) -> int:
-        return self._stats.committed - self._last_committed
 
 
 def merge_records(records: List[IntervalWindow], factor: int) -> List[IntervalWindow]:

@@ -12,7 +12,7 @@ operand, which is all the paper's mechanisms need.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, List
+from typing import List
 
 
 class OpClass(IntEnum):
@@ -122,13 +122,6 @@ class Instr:
         self.is_store = _IS_STORE_T[op]
         self.is_fp = _IS_FP_T[op]
 
-    def sources(self) -> Iterable[int]:
-        """The producer indices of this instruction's register operands."""
-        if self.src1 >= 0:
-            yield self.src1
-        if self.src2 >= 0:
-            yield self.src2
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = ""
         if self.is_mem:
@@ -182,29 +175,3 @@ class Trace:
         if not self.instructions:
             return 0.0
         return sum(1 for i in self.instructions if i.is_fp) / len(self.instructions)
-
-    def slice(self, start: int, stop: int) -> "Trace":
-        """A reindexed sub-trace covering ``[start, stop)``.
-
-        Dependences that reach before ``start`` become immediately-ready
-        operands, matching how a warmed-up simulation window behaves.
-        """
-        sub: List[Instr] = []
-        for j, instr in enumerate(self.instructions[start:stop]):
-            src1 = instr.src1 - start if instr.src1 >= start else -1
-            src2 = instr.src2 - start if instr.src2 >= start else -1
-            sub.append(
-                Instr(
-                    index=j,
-                    pc=instr.pc,
-                    op=instr.op,
-                    src1=src1,
-                    src2=src2,
-                    addr=instr.addr,
-                    taken=instr.taken,
-                    target=instr.target,
-                    is_call=instr.is_call,
-                    is_return=instr.is_return,
-                )
-            )
-        return Trace(f"{self.name}[{start}:{stop}]", sub)

@@ -1,7 +1,5 @@
 """Experiment runner: warmup exclusion, trace-length scaling."""
 
-import pytest
-
 from repro.core import StaticController
 from repro.experiments.runner import run_trace, scaled_length
 
@@ -26,11 +24,6 @@ class TestRunTrace:
     def test_warmup_clamped_for_short_traces(self, parallel_trace, config16):
         r = run_trace(parallel_trace, config16, warmup=10 ** 9)
         assert r.committed >= 900  # still measured something
-
-    def test_speedup_over(self, parallel_trace, config16):
-        a = run_trace(parallel_trace, config16, StaticController(16), warmup=500)
-        b = run_trace(parallel_trace, config16, StaticController(2), warmup=500)
-        assert a.speedup_over(b) == pytest.approx(a.ipc / b.ipc)
 
 
 class TestScaledLength:

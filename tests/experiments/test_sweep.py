@@ -342,9 +342,7 @@ class TestFinishedRunsAreFreed:
                 RunSpec(
                     profile="gzip",
                     trace_length=LEN,
-                    config=dataclasses.replace(
-                        decentralized_config(16), check_invariants=True
-                    ),
+                    config=decentralized_config(16),
                     controller=ControllerSpec.explore(),
                     warmup=300,
                     faults=FaultSchedule((
@@ -366,7 +364,10 @@ class TestFinishedRunsAreFreed:
         ],
         ids=["decentralized-explore-faults", "multiprog", "timeout"],
     )
-    def test_no_processor_survives_the_run(self, spec, timeout, status):
+    def test_no_processor_survives_the_run(self, spec, timeout, status, monkeypatch):
+        # the invariant checker holds its processor: check with it built
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+
         def processors():
             return [o for o in gc.get_objects() if isinstance(o, ClusteredProcessor)]
 

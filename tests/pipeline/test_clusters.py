@@ -55,14 +55,15 @@ class TestClusterOccupancy:
     def test_iq_fills_separately_per_type(self):
         c = self._cluster(iq=1)
         c.allocate(object(), OpClass.INT_ALU, needs_reg=True)
-        assert not c.iq_has_room(OpClass.INT_ALU)
-        assert c.iq_has_room(OpClass.FP_ALU)  # fp queue is separate
+        assert not c.can_accept(OpClass.INT_ALU, needs_reg=False)
+        assert c.can_accept(OpClass.FP_ALU, needs_reg=False)  # fp queue is separate
 
     def test_regs_fill_separately_per_type(self):
         c = self._cluster(regs=1)
         c.allocate(object(), OpClass.INT_ALU, needs_reg=True)
-        assert not c.reg_available(OpClass.INT_MUL, True)
-        assert c.reg_available(OpClass.FP_ALU, True)
+        assert not c.can_accept(OpClass.INT_MUL, needs_reg=True)
+        assert c.can_accept(OpClass.INT_MUL, needs_reg=False)  # the queue has room
+        assert c.can_accept(OpClass.FP_ALU, needs_reg=True)
 
     def test_stores_need_no_register(self):
         c = self._cluster(regs=1)
@@ -74,7 +75,7 @@ class TestClusterOccupancy:
         rec = object()
         c.allocate(rec, OpClass.INT_ALU, needs_reg=True)
         c.on_issue(rec, OpClass.INT_ALU)
-        assert c.iq_has_room(OpClass.INT_ALU)
+        assert c.can_accept(OpClass.INT_ALU, needs_reg=False)
         assert c.reg_occupancy == 1
 
     def test_commit_frees_reg(self):
@@ -83,7 +84,7 @@ class TestClusterOccupancy:
         c.allocate(rec, OpClass.INT_ALU, needs_reg=True)
         c.on_issue(rec, OpClass.INT_ALU)
         c.on_commit(OpClass.INT_ALU, needs_reg=True)
-        assert c.reg_available(OpClass.INT_ALU, True)
+        assert c.can_accept(OpClass.INT_ALU, needs_reg=True)
 
     def test_overflow_raises(self):
         c = self._cluster(iq=1)

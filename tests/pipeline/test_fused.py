@@ -111,7 +111,7 @@ class TestChunkedAdvance:
     def test_step_advances_exactly_one_cycle(self):
         proc = _processor(("vpr", "ring", "none", "healthy"))
         for expected in range(1, 200):
-            proc.step()
+            proc.advance(until_cycle=proc.cycle + 1)
             assert proc.cycle == expected
 
     def test_bound_at_the_current_cycle_is_a_no_op(self):

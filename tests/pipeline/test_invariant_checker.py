@@ -5,58 +5,45 @@ checks actually run), and a deliberately corrupted one fails loudly with
 cycle/instruction context — never commits garbage statistics silently.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.config import default_config
 from repro.core import StaticController
 from repro.errors import SimulationError
-from repro.pipeline.invariants import invariants_enabled
+from repro.pipeline import invariants
+from repro.pipeline.invariants import INVARIANTS_ENV
 from repro.pipeline.processor import ClusteredProcessor
 from repro.workloads.instruction import Instr
 
 
-def config_with_checks(enabled=True, period=64):
-    return dataclasses.replace(
-        default_config(16), check_invariants=enabled,
-        invariant_sample_period=period,
-    )
+def build_checked(trace, controller, enabled=True, period=64, **kwargs):
+    """A 16-cluster processor built with checking ``enabled`` every
+    ``period`` cycles (both are read once, when the processor is built)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(INVARIANTS_ENV, "1" if enabled else "0")
+        patch.setattr(invariants, "SAMPLE_PERIOD", period)
+        return ClusteredProcessor(trace, default_config(16), controller, **kwargs)
 
 
 def processor_for(trace, enabled=True, period=64):
-    return ClusteredProcessor(
-        trace, config_with_checks(enabled, period), StaticController(4)
-    )
+    return build_checked(trace, StaticController(4), enabled, period)
 
 
 def run_cycles(proc, cycles):
     for _ in range(cycles):
-        proc.step()
+        proc.advance(until_cycle=proc.cycle + 1)
 
 
 class TestEnableToggle:
-    def test_config_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        assert not invariants_enabled(config_with_checks(False))
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
-        assert invariants_enabled(config_with_checks(True))
-
-    def test_env_decides_when_config_is_unset(self, monkeypatch):
-        config = default_config(16)
-        assert config.check_invariants is None
+    def test_env_decides_when_config_is_unset(self, monkeypatch, gzip_trace):
         for value, expected in [("1", True), ("on", True), ("", False),
                                 ("0", False), ("off", False), ("no", False)]:
-            monkeypatch.setenv("REPRO_CHECK_INVARIANTS", value)
-            assert invariants_enabled(config) is expected
+            monkeypatch.setenv(INVARIANTS_ENV, value)
+            proc = ClusteredProcessor(gzip_trace, default_config(16))
+            assert (proc.invariants is not None) is expected
 
     def test_disabled_processor_has_no_checker(self, gzip_trace):
         assert processor_for(gzip_trace, enabled=False).invariants is None
-
-    def test_toggle_does_not_change_cache_keys(self):
-        # check_invariants rides on the config but is excluded from repr,
-        # so flipping it must not invalidate the on-disk result cache
-        assert repr(config_with_checks(True)) == repr(config_with_checks(False))
 
 
 class TestCleanRunPasses:
@@ -67,11 +54,11 @@ class TestCleanRunPasses:
         assert proc.stats.committed == len(gzip_trace)
 
     def test_phased_trace_with_controller_passes(self, phased_trace):
-        config = config_with_checks(period=32)
         from repro.core import ExploreConfig, IntervalExploreController
 
-        proc = ClusteredProcessor(
-            phased_trace, config, IntervalExploreController(ExploreConfig.scaled())
+        proc = build_checked(
+            phased_trace, IntervalExploreController(ExploreConfig.scaled()),
+            period=32,
         )
         proc.run()
         assert proc.invariants.checks_run > 1
@@ -80,7 +67,7 @@ class TestCleanRunPasses:
         """A co-scheduled thread's last check runs once it has finished,
         at its final cycle, as a single-thread run's does."""
         from repro.multiprog import MultiProgSpec, run_multiprog
-        from repro.pipeline.invariants import INVARIANTS_ENV, InvariantChecker
+        from repro.pipeline.invariants import InvariantChecker
 
         monkeypatch.setenv(INVARIANTS_ENV, "1")
         last_check = {}
@@ -188,7 +175,7 @@ class TestCorruptionIsCaught:
 
     def test_sampled_check_fires_during_run(self, gzip_trace):
         """Corruption injected mid-run is caught by the *sampled* check in
-        step(), not only by a direct call."""
+        the cycle loop, not only by a direct call."""
         proc = processor_for(gzip_trace, period=16)
         run_cycles(proc, 200)
         proc.clusters[0]._int_regs += 3
@@ -201,12 +188,7 @@ class TestLivenessAwareRates:
     a drifted live-cluster count must still fail."""
 
     def faulted(self, trace, schedule):
-        from repro.pipeline.processor import ClusteredProcessor
-
-        return ClusteredProcessor(
-            trace, config_with_checks(period=16), None,
-            fault_schedule=schedule,
-        )
+        return build_checked(trace, None, period=16, fault_schedule=schedule)
 
     def test_killed_cluster_passes_checks(self, gzip_trace):
         from repro.resilience import FaultEvent, FaultSchedule
@@ -241,7 +223,5 @@ class TestSamplingPeriod:
         assert fine.invariants.checks_run > coarse.invariants.checks_run >= 1
 
     def test_checker_period_floor(self, gzip_trace):
-        proc = ClusteredProcessor(
-            gzip_trace, config_with_checks(period=0), StaticController(4)
-        )
+        proc = processor_for(gzip_trace, period=0)
         assert proc.invariants.period == 1

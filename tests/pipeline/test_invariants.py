@@ -81,7 +81,7 @@ class TestConservation:
         sizes = [2, 16, 4, 8, 1]
         i = 0
         while not proc.finished:
-            proc.step()
+            proc.advance(until_cycle=proc.cycle + 1)
             if proc.cycle % 97 == 0:
                 proc.set_active_clusters(sizes[i % len(sizes)])
                 i += 1

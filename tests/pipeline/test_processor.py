@@ -97,7 +97,7 @@ class TestReconfiguration:
     def test_disabled_clusters_drain(self, parallel_trace, config16):
         proc = ClusteredProcessor(parallel_trace, config16)
         for _ in range(300):
-            proc.step()
+            proc.advance(until_cycle=proc.cycle + 1)
         proc.set_active_clusters(2)
         proc.run()
         assert proc.stats.committed == len(parallel_trace)
@@ -118,7 +118,7 @@ class TestReconfiguration:
     def test_decentralized_reconfig_stalls_dispatch(self, parallel_trace):
         proc = ClusteredProcessor(parallel_trace, decentralized_config(16))
         for _ in range(500):
-            proc.step()
+            proc.advance(until_cycle=proc.cycle + 1)
         before = proc.cycle
         proc.set_active_clusters(4)
         if proc.stats.flush_writebacks:

@@ -105,17 +105,6 @@ class TestValidation:
 
 
 class TestDerived:
-    def test_with_clusters(self):
-        cfg = default_config(16).with_clusters(4)
-        assert cfg.num_clusters == 4
-        assert cfg.cluster == default_config().cluster
-
-    def test_max_inflight(self):
-        cfg = default_config(16)
-        assert cfg.max_inflight == 480  # ROB bound
-        cfg2 = default_config(2)
-        assert cfg2.max_inflight == 2 * 30 * 2
-
     def test_monolithic_has_16x_resources(self):
         mono = monolithic_config()
         base = default_config()

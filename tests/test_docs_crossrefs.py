@@ -152,6 +152,24 @@ RETIRED = [
         'simulate(trace, topology="monolithic"); Figure 5\'s clusters disabled; '
         "fig_multiprog's static split; TraceSession writes events.jsonl",
     ),
+    (
+        "arbiter plugin registry",
+        re.compile(
+            r"\bregister_arbiter\b|\bbuild_arbiter\b|\barbiter_names\b"
+            r"|\bcheck_conservation\b|\bepoch_committed\b"
+        ),
+        "ARBITERS[name](clusters, threads, topology) and sorted(ARBITERS)",
+    ),
+    (
+        "code no workload reached",
+        re.compile(
+            r"\biq_has_room\b|\breg_available\b|\bwith_clusters\b|\bmax_inflight\b"
+            r"|\bspeedup_over\b|\bcommitted_since_last\b|\bissue_cycle\b"
+            r"|\bcheck_invariants\b|\binvariant_sample_period\b"
+        ),
+        "Cluster.can_accept; dataclasses.replace(config, num_clusters=n); "
+        "REPRO_CHECK_INVARIANTS=1 and invariants.SAMPLE_PERIOD",
+    ),
 ]
 
 #: docs/<NAME>.md references must resolve against the real docs tree
@@ -291,6 +309,8 @@ def test_lint_catches_retired_spellings():
         "analysis modules and run wrappers no exhibit ran": (
             "from repro.partition import best_partition, measure_scaling"
         ),
+        "arbiter plugin registry": 'build_arbiter("round-robin", 16, 2, topology)',
+        "code no workload reached": "default_config(16).with_clusters(4).max_inflight",
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"
@@ -326,6 +346,20 @@ def test_lint_catches_retired_spellings():
     for kept in ('simulate(trace, topology="monolithic")', "monolithic_config()",
                  "repro.api.simulate", "arbiter=\"static\""):
         assert not analysis.search(kept), kept
+    [registry] = [p for name, p, _ in RETIRED if name == "arbiter plugin registry"]
+    for retired in ("register_arbiter", "build_arbiter", "arbiter_names",
+                    "check_conservation", "epoch_committed"):
+        assert registry.search(retired), retired
+    [unreached] = [p for name, p, _ in RETIRED if name == "code no workload reached"]
+    for retired in ("iq_has_room", "reg_available", "with_clusters", "max_inflight",
+                    "speedup_over", "committed_since_last", "issue_cycle",
+                    "check_invariants", "invariant_sample_period"):
+        assert unreached.search(retired), retired
+    # the kept multiprog names and the invariant switch do not match
+    for kept in ("harmonic_mean_ipc", "sorted(ARBITERS)", "ledger.owned_by(thread)",
+                 "REPRO_CHECK_INVARIANTS=1", "cluster.can_accept(op, needs_reg)"):
+        assert not registry.search(kept), kept
+        assert not unreached.search(kept), kept
 
 
 def test_lint_scans_inline_spans_and_fences(tmp_path):

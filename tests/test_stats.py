@@ -79,12 +79,6 @@ class TestIntervalTracker:
         # a recording keeps every window, so none may be reused
         assert first is not w and first.committed == 100
 
-    def test_committed_since_last(self):
-        s = SimStats()
-        t = IntervalTracker(s)
-        s.committed += 42
-        assert t.committed_since_last() == 42
-
 
 class TestIntervalRecord:
     """A recording keeps one IntervalWindow per interval."""

@@ -58,8 +58,8 @@ class TestGeneration:
     def test_dependences_reference_dest_producers(self):
         t = generate_trace(_profile(), 4_000, seed=3)
         for i in t:
-            for s in i.sources():
-                assert t[s].has_dest, f"instr {i.index} depends on non-producer {s}"
+            for s in (i.src1, i.src2):
+                assert s < 0 or t[s].has_dest, f"instr {i.index} depends on non-producer {s}"
 
     def test_mix_roughly_matches_params(self):
         p = PhaseParams(name="m", body_size=30, frac_load=0.3, frac_store=0.1)
@@ -120,7 +120,7 @@ class TestSerialChain:
         depth = {}
         best = 0
         for i in t:
-            srcs = [depth.get(s, 0) for s in i.sources()]
+            srcs = [depth.get(s, 0) for s in (i.src1, i.src2) if s >= 0]
             d = (max(srcs) if srcs else 0) + 1
             depth[i.index] = d
             best = max(best, d)

@@ -23,14 +23,6 @@ class TestInstr:
         assert not Instr(0, 0, OpClass.STORE).has_dest
         assert not Instr(0, 0, OpClass.BRANCH).has_dest
 
-    def test_sources_iterates_valid_only(self):
-        i = Instr(5, 0, OpClass.INT_ALU, src1=3, src2=-1)
-        assert list(i.sources()) == [3]
-        j = Instr(5, 0, OpClass.INT_ALU, src1=1, src2=2)
-        assert list(j.sources()) == [1, 2]
-        k = Instr(5, 0, OpClass.INT_ALU)
-        assert list(k.sources()) == []
-
     def test_flags(self):
         b = Instr(0, 0x40, OpClass.BRANCH, taken=True, target=0x80, is_call=True)
         assert b.is_branch and b.is_call and not b.is_return
@@ -74,18 +66,3 @@ class TestTrace:
         assert t.memref_count == 1
         assert t.branch_count == 1
         assert t.fp_fraction == 0.0
-
-    def test_slice_reindexes(self):
-        t = Trace("t", self._make(10))
-        sub = t.slice(4, 8)
-        assert len(sub) == 4
-        assert [i.index for i in sub] == [0, 1, 2, 3]
-        # instruction 4 depended on 3, which is outside the slice
-        assert sub[0].src1 == -1
-        # instruction 5 depended on 4, which is slice-local index 0
-        assert sub[1].src1 == 0
-
-    def test_slice_preserves_pcs(self):
-        t = Trace("t", self._make(10))
-        sub = t.slice(2, 5)
-        assert [i.pc for i in sub] == [8, 12, 16]
